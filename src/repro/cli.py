@@ -172,88 +172,6 @@ def cmd_workloads(args) -> int:
     return 0
 
 
-def cmd_bench_iss(args) -> int:
-    from repro.runtime.bench import run_bench
-
-    report = run_bench(
-        output_path=args.output,
-        measure_legacy_full=args.full,
-    )
-    medium = report["engine_comparison_medium"]
-    full = report["matmul_full_fast"]
-    suite = report["suite_study"]
-    print(
-        f"fast vs legacy (medium matmul): "
-        f"{medium['speedup_fast_over_legacy']:.1f}x "
-        f"(bit-identical: {medium['bit_identical']})"
-    )
-    print(
-        f"full matmul (fast): {full['wall_seconds']:.2f}s, "
-        f"{full['mips']:.1f} MIPS, "
-        f"cycles match paper: {full['cycles_match_paper']}"
-    )
-    sb = report["superblock"]
-    print(
-        f"full matmul (superblock): {sb['wall_seconds']:.2f}s, "
-        f"{sb['speedup_superblock_over_fast']:.2f}x over fast "
-        f"(bit-identical: {sb['bit_identical']})"
-    )
-    vec = report["vector_lanes"]
-    print(f"vector N=1 bit-identical: {vec['n1_bit_identical']}")
-    for n_lanes in (8, 16, 32, 64):
-        row = vec[f"n{n_lanes}"]
-        print(
-            f"vector N={n_lanes:<3d}: {row['aggregate_mips']:6.1f} MIPS "
-            f"aggregate ({row['speedup_vs_fast']:.1f}x fast path, "
-            f"correct: {row['all_correct']})"
-        )
-    if suite["parallel_comparison_valid"]:
-        parallel = (
-            f"parallel cold {suite['parallel_cold_wall_seconds']:.2f}s "
-            f"(jobs={suite['parallel_jobs']}), "
-        )
-    else:
-        parallel = (
-            f"parallel comparison skipped "
-            f"(cpus={suite['cpus_available']}), "
-        )
-    print(
-        f"suite: serial cold {suite['serial_cold_wall_seconds']:.2f}s, "
-        + parallel
-        + f"warm cache {suite['warm_cache_wall_seconds']:.2f}s"
-    )
-    if args.output:
-        print(f"wrote {args.output}")
-    return 0
-
-
-def cmd_bench_sweep(args) -> int:
-    from repro.runtime.bench_sweep import run_sweep_bench
-
-    report = run_sweep_bench(
-        output_path=args.output, n_samples=args.mc_samples
-    )
-    mc = report["monte_carlo"]
-    pipeline = report["artifact_pipeline"]
-    print(
-        f"monte carlo ({mc['n_samples']} samples, {mc['grid_points']} grid "
-        f"points): batched {mc['speedup_batched_over_legacy']:.1f}x over "
-        f"legacy (bit-identical: {mc['bit_identical']})"
-    )
-    print(
-        f"  {mc['batched_samples_per_second']:,.0f} samples/s batched vs "
-        f"{mc['legacy_samples_per_second']:,.0f} legacy"
-    )
-    print(
-        f"artifact pipeline: {pipeline['artifact_count']} artifacts in "
-        f"{pipeline['total_wall_seconds']:.2f}s "
-        f"(content {pipeline['content_hash'][:12]})"
-    )
-    if args.output:
-        print(f"wrote {args.output}")
-    return 0
-
-
 def cmd_artifacts(args) -> int:
     from repro.analysis.artifacts import (
         PipelineConfig,
@@ -334,43 +252,6 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def cmd_bench_obs(args) -> int:
-    from repro.runtime.bench_obs import run_obs_bench
-
-    report = run_obs_bench(output_path=args.output, repeats=args.repeats)
-    print(
-        f"observability overhead ({report['workload']}, best of "
-        f"{report['repeats']}):"
-    )
-    print(
-        f"  control {report['control_wall_seconds']:.3f}s, "
-        f"disabled {report['disabled_wall_seconds']:.3f}s "
-        f"({report['tracing_off_overhead_fraction']:+.2%}), "
-        f"enabled {report['enabled_wall_seconds']:.3f}s "
-        f"({report['tracing_on_overhead_fraction']:+.2%})"
-    )
-    print(
-        f"  profiled @ {report['profiler_hz']:g} Hz "
-        f"{report['profiled_wall_seconds']:.3f}s "
-        f"({report['profiler_on_overhead_fraction']:+.2%}, "
-        f"{report['profiler_samples']} samples)"
-    )
-    print(
-        f"  tracing-off under 2%: "
-        f"{report['tracing_off_overhead_under_2pct']}, "
-        f"profiler under 5%: {report['profiler_overhead_under_5pct']} "
-        f"(bit-identical: {report['bit_identical']})"
-    )
-    if args.output:
-        print(f"wrote {args.output}")
-    gates_ok = (
-        report["tracing_off_overhead_under_2pct"]
-        and report["profiler_overhead_under_5pct"]
-        and report["profiler_sampled"]
-    )
-    return 0 if gates_ok else 1
-
-
 def cmd_serve(args) -> int:
     import asyncio
 
@@ -381,7 +262,6 @@ def cmd_serve(args) -> int:
         port=args.port,
         grids=tuple(g.strip() for g in args.grids.split(",") if g.strip()),
         clock_mhz=args.clock_mhz,
-        serial=args.serial,
         batch_window_s=args.batch_window_ms / 1e3,
         max_batch=args.max_batch,
         max_pending=args.max_pending,
@@ -399,53 +279,6 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     return 0
-
-
-def cmd_bench_serve(args) -> int:
-    from repro.runtime.bench_serve import run_serve_bench
-
-    report = run_serve_bench(
-        output_path=args.output,
-        clients=args.clients,
-        requests=args.requests,
-        open_rate_qps=args.open_rate,
-    )
-    batched, serial = report["batched"], report["serial"]
-    open_loop = report["open_loop"]
-    occupancy = report["batch_occupancy"]
-    print(
-        f"closed loop ({report['config']['clients']} clients, "
-        f"{report['config']['requests']} requests):"
-    )
-    print(
-        f"  batched {batched['qps']:,.0f} qps "
-        f"(p50 {batched['p50_ms']:.1f} ms, p99 {batched['p99_ms']:.1f} ms)"
-        f" vs serial {serial['qps']:,.0f} qps"
-    )
-    print(
-        f"  speedup {report['speedup_batched_over_serial']:.2f}x "
-        f"(>=3x: {report['speedup_at_least_3x']}, "
-        f"bit-equal responses: {report['bit_equal_responses']})"
-    )
-    print(
-        f"open loop @ {report['config']['open_rate_qps']:.0f} qps offered: "
-        f"p50 {open_loop['p50_ms']:.1f} ms, p99 {open_loop['p99_ms']:.1f} ms "
-        f"(all ok: {open_loop['all_ok']})"
-    )
-    print(
-        f"batch occupancy: mean {occupancy['mean']:.1f} over "
-        f"{occupancy['batches']} batches; clean shutdown: "
-        f"{report['clean_shutdown']}"
-    )
-    if args.output:
-        print(f"wrote {args.output}")
-    gates_ok = (
-        report["speedup_at_least_3x"]
-        and report["bit_equal_responses"]
-        and report["clean_shutdown"]
-        and open_loop["all_ok"]
-    )
-    return 0 if gates_ok else 1
 
 
 def _dispatch_observed(args, label: str) -> int:
@@ -631,29 +464,6 @@ def cmd_sanitize(args) -> int:
     return status
 
 
-def cmd_bench_lint(args) -> int:
-    from repro.runtime.bench_lint import run_lint_bench
-
-    report = run_lint_bench(output_path=args.output, repeats=args.repeats)
-    print(
-        f"lint wall time over {report['target']} "
-        f"({report['files_checked']} files, best of {report['repeats']}):"
-    )
-    print(
-        f"  serial {report['serial_wall_seconds']:.3f}s, "
-        f"parallel {report['parallel_wall_seconds']:.3f}s "
-        f"({report['speedup_parallel_over_serial']:.2f}x)"
-    )
-    print(
-        f"  parity: {report['parity']}  lint_clean: {report['lint_clean']}"
-    )
-    if args.output:
-        print(f"wrote {args.output}")
-    if not report["parity"] or not report["lint_clean"]:
-        return 1
-    return 0
-
-
 def cmd_vectorcheck(args) -> int:
     from pathlib import Path
 
@@ -751,22 +561,9 @@ _COMMANDS = {
         cmd_artifacts,
         "regenerate every paper artifact into a content-addressed store",
     ),
-    "bench-iss": (cmd_bench_iss, "ISS performance benchmark (BENCH_iss.json)"),
-    "bench-sweep": (
-        cmd_bench_sweep,
-        "uncertainty-sweep benchmark (BENCH_sweep.json)",
-    ),
-    "bench-obs": (
-        cmd_bench_obs,
-        "observability overhead benchmark (BENCH_obs.json)",
-    ),
     "serve": (
         cmd_serve,
         "run the PPAtC query server (POST /v1/tcdp, /v1/grid)",
-    ),
-    "bench-serve": (
-        cmd_bench_serve,
-        "serving throughput/latency benchmark (BENCH_serve.json)",
     ),
     "lint": (cmd_lint, "repro-lint static analysis (rules RPL001-RPL016)"),
     "vectorcheck": (
@@ -777,10 +574,6 @@ _COMMANDS = {
     "sanitize": (
         cmd_sanitize,
         "run tests under the tsan-lite race sanitizer",
-    ),
-    "bench-lint": (
-        cmd_bench_lint,
-        "repro-lint wall-time benchmark (BENCH_lint.json)",
     ),
     "trace": (
         cmd_trace,
@@ -806,12 +599,9 @@ _NO_COMMON_ARGS = {
     "lint",
     "vectorcheck",
     "sanitize",
-    "bench-lint",
     "trace",
     "metrics",
-    "bench-obs",
     "serve",
-    "bench-serve",
     "profile",
     "obs-report",
 }
@@ -885,44 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="run N seed-parameterized matmul variants instead "
                 "of the standard suite (pairs with --vector)",
             )
-        if name == "bench-iss":
-            sub.add_argument(
-                "--output",
-                metavar="FILE",
-                default=None,
-                help="write the BENCH_iss.json artifact to FILE",
-            )
-            sub.add_argument(
-                "--full",
-                action="store_true",
-                help="also measure the full-length legacy run (~1 min)",
-            )
-        if name == "bench-sweep":
-            sub.add_argument(
-                "--output",
-                metavar="FILE",
-                default=None,
-                help="write the BENCH_sweep.json artifact to FILE",
-            )
-            sub.add_argument(
-                "--mc-samples",
-                type=int,
-                default=1000,
-                help="Monte Carlo samples for the sweep benchmark",
-            )
-        if name == "bench-obs":
-            sub.add_argument(
-                "--output",
-                metavar="FILE",
-                default=None,
-                help="write the BENCH_obs.json artifact to FILE",
-            )
-            sub.add_argument(
-                "--repeats",
-                type=int,
-                default=7,
-                help="interleaved timing repeats per variant (min is kept)",
-            )
         if name == "serve":
             sub.add_argument(
                 "--host", default="127.0.0.1", help="bind address"
@@ -944,12 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
                 type=float,
                 default=500.0,
                 help="clock frequency the warmed scenario bases use",
-            )
-            sub.add_argument(
-                "--serial",
-                action="store_true",
-                help="bypass the request batcher (per-request scalar "
-                "evaluation; the bench's control mode)",
             )
             sub.add_argument(
                 "--batch-window-ms",
@@ -1017,31 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
                 type=float,
                 default=100.0,
                 help="latency-SLO threshold reported on /healthz",
-            )
-        if name == "bench-serve":
-            sub.add_argument(
-                "--output",
-                metavar="FILE",
-                default=None,
-                help="write the BENCH_serve.json artifact to FILE",
-            )
-            sub.add_argument(
-                "--clients",
-                type=int,
-                default=32,
-                help="concurrent connections in the closed-loop phases",
-            )
-            sub.add_argument(
-                "--requests",
-                type=int,
-                default=512,
-                help="closed-loop corpus size per server mode",
-            )
-            sub.add_argument(
-                "--open-rate",
-                type=float,
-                default=200.0,
-                help="open-loop offered arrival rate (requests/s)",
             )
         if name in ("trace", "metrics", "profile"):
             sub.add_argument(
@@ -1245,19 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="Class.attr pairs exempt from race reporting "
                 "(default: known benign lifecycle flags; repeatable)",
-            )
-        if name == "bench-lint":
-            sub.add_argument(
-                "--output",
-                metavar="FILE",
-                default=None,
-                help="write the BENCH_lint.json artifact to FILE",
-            )
-            sub.add_argument(
-                "--repeats",
-                type=int,
-                default=2,
-                help="timing repeats per arm (min is kept)",
             )
         sub.set_defaults(func=func)
     return parser

@@ -5,7 +5,7 @@ One process-wide :class:`~repro.obs.trace.Tracer` and one
 default**: every instrumentation site in the ISS, the Monte Carlo
 engine, the caches, and the artifact pipeline goes through the
 singletons below and costs one flag check when observability is off
-(``BENCH_obs.json`` pins the tracing-off ISS overhead under 2 %).
+(``python -m bench`` runs every workload with tracing off).
 
 Enabling:
 

@@ -8,8 +8,8 @@ takes the registry lock too: instruments are updated from the event
 loop, the grid executor, and fan-out threads at once, and ``+=`` is a
 read-modify-write that loses updates under that interleaving.  While
 the registry is *disabled* the write path is still a single flag check
-that allocates nothing, which is what the bench-obs overhead budget
-actually measures.  ISS instruction-mix
+that allocates nothing, so the disabled path adds no measurable
+cost.  ISS instruction-mix
 numbers are aggregated from the simulator's own
 :class:`~repro.cpu.simulator.ExecutionStats` *after* each run, so the
 execute loop itself is never touched.

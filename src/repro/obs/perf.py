@@ -1,13 +1,10 @@
-"""Wall-clock metering for ISS runs (absorbed from ``runtime.perfcounters``).
+"""Wall-clock metering for ISS runs.
 
 The fast engine's whole point is wall-time; this module keeps that
 observable.  A :class:`RunPerf` captures one run's wall-clock cost next
 to its simulated work, yielding MIPS (simulated instructions per
 wall-second) and simulated cycles per second — the numbers the CLI
-``--perf`` flag and the ``BENCH_iss.json`` harness report.
-
-This used to live at :mod:`repro.runtime.perfcounters`; that module is
-now a thin import shim kept for backward compatibility.
+``--perf`` flag reports.
 """
 
 from __future__ import annotations

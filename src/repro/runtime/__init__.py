@@ -1,4 +1,4 @@
-"""Execution-runtime services for the ISS: caching, fan-out, metering.
+"""Execution-runtime services for the ISS: caching and fan-out.
 
 This package makes repeat studies cheap and large studies fast:
 
@@ -7,13 +7,8 @@ This package makes repeat studies cheap and large studies fast:
   assembly source, cycle budget, and ISS version tag.
 - :mod:`repro.runtime.parallel` — suite fan-out over a process pool
   with cache integration and a serial fallback.
-- :mod:`repro.obs.perf` — wall-time / MIPS metering so the speedups
-  stay observable from the CLI and benchmarks
-  (:mod:`repro.runtime.perfcounters` is now a back-compat shim for it).
-- :mod:`repro.runtime.bench` — the ``BENCH_iss.json`` harness tracking
-  the performance trajectory across PRs.
-- :mod:`repro.runtime.bench_obs` — the ``BENCH_obs.json`` harness
-  pinning the tracing-off observability overhead under 2 %.
+- :mod:`repro.obs.perf` — wall-time / MIPS metering (re-exported here)
+  so the speedups stay observable from the CLI.
 """
 
 from repro.runtime.cache import (

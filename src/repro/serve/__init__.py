@@ -5,18 +5,18 @@ model as an API — ``POST /v1/tcdp`` for single design points,
 ``POST /v1/grid`` for trade-off-map tiles, plus ``/healthz`` and
 ``/metricz``.  Concurrent point queries are coalesced by a request
 batcher into single tensor evaluations that are bit-identical to the
-scalar model stack, which is what `repro bench-serve` verifies and the
-``bench-serve/1`` CI gate enforces.
+scalar model stack, which the differential tests in ``tests/serve``
+and the ``serve_mix`` workload of ``python -m bench`` verify.
 
 Modules:
 
 - :mod:`repro.serve.http` — minimal HTTP/1.1 framing over asyncio streams;
 - :mod:`repro.serve.model` — query validation + the two bit-equal
-  evaluators (scalar control, batched tensor path);
+  evaluators (scalar oracle, batched tensor path);
 - :mod:`repro.serve.batcher` — window-based coalescing, 429 shedding;
 - :mod:`repro.serve.flight` — tail-sampled flight recorder (``/debugz``);
 - :mod:`repro.serve.server` — routes, obs integration, graceful drain;
-- :mod:`repro.serve.loadgen` — deterministic closed/open-loop load.
+- :mod:`repro.serve.loadgen` — deterministic closed-loop load.
 """
 
 from repro.serve.batcher import QueueFullError, RequestBatcher

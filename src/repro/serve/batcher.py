@@ -16,8 +16,8 @@ already admitted is evaluated and resolved before the worker exits,
 which is what makes SIGTERM graceful.
 
 Observability: ``serve.batch.count`` / ``serve.batch.queries`` counters,
-a ``serve.batch.occupancy`` histogram (the bench's batch-occupancy
-evidence that coalescing actually happened), live ``serve.queue.depth``
+a ``serve.batch.occupancy`` histogram (the evidence that coalescing
+actually happened), live ``serve.queue.depth``
 and ``serve.batch.last_occupancy`` gauges (scraped via ``/metricz`` and
 stamped into every access-log line), and ``serve.shed.total`` for 429s.
 """

@@ -1,23 +1,15 @@
-"""Deterministic load generation against a running PPAtC server.
+"""Deterministic closed-loop load against a running PPAtC server.
 
-Two phases, matching how serving systems are actually characterized:
-
-- **closed loop** — ``connections`` concurrent clients, each issuing its
-  share of a seeded request corpus back-to-back over one keep-alive
-  connection.  Measures throughput (QPS) under full concurrency and
-  returns a SHA-256 digest over every response body, keyed by request
-  id — the bit-equality evidence ``repro bench-serve`` compares between
-  the batched server and the serial-dispatch control.
-- **open loop** — requests arrive on a seeded exponential (Poisson)
-  schedule regardless of completions, the honest way to measure tail
-  latency: a slow server cannot flow-control the arrival process, so
-  queueing delay shows up in p99 instead of hiding in a lower offered
-  rate.
+``run_closed_loop`` drives ``connections`` concurrent clients, each
+issuing its share of a seeded request corpus back-to-back over one
+keep-alive connection, and keeps a SHA-256 digest of every response
+body, keyed by request id, so callers can byte-compare responses
+against an oracle.
 
 The corpus is seeded (``random.Random(seed)``) and parameter-diverse on
-purpose: distinct float parameters make every scalar-stack evaluation a
-trade-off-map cache miss, so the serial control measures real model
-work rather than ``lru_cache`` hits.
+purpose: distinct float parameters make every evaluation a trade-off-map
+cache miss, so the load measures real model work rather than
+``lru_cache`` hits.
 """
 
 from __future__ import annotations
@@ -26,7 +18,6 @@ import asyncio
 import hashlib
 import json
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -35,7 +26,6 @@ __all__ = [
     "build_corpus",
     "fetch_json",
     "run_closed_loop",
-    "run_open_loop",
 ]
 
 _GRIDS = ("us", "coal", "solar", "taiwan")
@@ -67,29 +57,8 @@ class LoadPhaseResult:
 
     requests: int
     errors: int
-    elapsed_s: float
-    latencies_s: List[float] = field(repr=False, default_factory=list)
     #: request index -> SHA-256 hex digest of the response body
     response_digests: Dict[int, str] = field(repr=False, default_factory=dict)
-
-    @property
-    def qps(self) -> float:
-        return self.requests / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Latency quantile in seconds (q in [0, 1])."""
-        if not self.latencies_s:
-            return 0.0
-        ordered = sorted(self.latencies_s)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
-
-    def digest(self) -> str:
-        """One digest over all responses, in request-id order."""
-        rollup = hashlib.sha256()
-        for index in sorted(self.response_digests):
-            rollup.update(self.response_digests[index].encode("ascii"))
-        return rollup.hexdigest()
 
 
 def _post_bytes(body: bytes, target: str = "/v1/tcdp") -> bytes:
@@ -146,7 +115,7 @@ async def run_closed_loop(
     connections: int = 32,
 ) -> LoadPhaseResult:
     """All connections replay their corpus shares as fast as possible."""
-    result = LoadPhaseResult(requests=0, errors=0, elapsed_s=0.0)
+    result = LoadPhaseResult(requests=0, errors=0)
     shares: List[List[Tuple[int, bytes]]] = [
         [] for _ in range(connections)
     ]
@@ -157,12 +126,9 @@ async def run_closed_loop(
         reader, writer = await asyncio.open_connection(host, port)
         try:
             for index, body in share:
-                t0 = time.perf_counter()  # repro-lint: disable=RPL002 - load generator measures real latency by design
                 writer.write(_post_bytes(body))
                 await writer.drain()
                 status, payload = await _read_response(reader)
-                t1 = time.perf_counter()  # repro-lint: disable=RPL002 - load generator measures real latency by design
-                result.latencies_s.append(t1 - t0)
                 result.requests += 1
                 if status != 200:
                     result.errors += 1
@@ -176,76 +142,5 @@ async def run_closed_loop(
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    start = time.perf_counter()  # repro-lint: disable=RPL002 - load generator measures real latency by design
     await asyncio.gather(*(client(share) for share in shares if share))
-    result.elapsed_s = time.perf_counter() - start  # repro-lint: disable=RPL002 - load generator measures real latency by design
-    return result
-
-
-async def run_open_loop(
-    host: str,
-    port: int,
-    corpus: Sequence[bytes],
-    rate_qps: float,
-    seed: int = 0,
-    connections: int = 32,
-    expect_shed: bool = False,
-) -> LoadPhaseResult:
-    """Poisson arrivals at ``rate_qps`` over a fixed connection pool.
-
-    Each arrival takes the next free pooled connection; if the pool is
-    empty the arrival *waits for one* and that wait counts toward its
-    latency — open-loop semantics up to pool exhaustion.  HTTP 429s
-    count as errors unless ``expect_shed`` (the shedding phase of the
-    bench drives the server past ``max_pending`` on purpose).
-    """
-    if rate_qps <= 0:
-        raise ValueError("rate_qps must be > 0")
-    rng = random.Random(seed)
-    result = LoadPhaseResult(requests=0, errors=0, elapsed_s=0.0)
-    pool: "asyncio.Queue[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]" = (
-        asyncio.Queue()
-    )
-    for _ in range(connections):
-        pool.put_nowait(await asyncio.open_connection(host, port))
-
-    async def one_request(index: int, body: bytes, arrival: float) -> None:
-        reader, writer = await pool.get()
-        try:
-            writer.write(_post_bytes(body))
-            await writer.drain()
-            status, payload = await _read_response(reader)
-            done = time.perf_counter()  # repro-lint: disable=RPL002 - load generator measures real latency by design
-            result.latencies_s.append(done - arrival)
-            result.requests += 1
-            if status != 200 and not (expect_shed and status == 429):
-                result.errors += 1
-            result.response_digests[index] = hashlib.sha256(
-                payload
-            ).hexdigest()
-        finally:
-            pool.put_nowait((reader, writer))
-
-    tasks: List["asyncio.Task[None]"] = []
-    start = time.perf_counter()  # repro-lint: disable=RPL002 - load generator measures real latency by design
-    next_at = start
-    for index, body in enumerate(corpus):
-        next_at += rng.expovariate(rate_qps)
-        delay = next_at - time.perf_counter()  # repro-lint: disable=RPL002 - load generator measures real latency by design
-        if delay > 0:
-            await asyncio.sleep(delay)
-        tasks.append(
-            asyncio.get_running_loop().create_task(
-                one_request(index, body, next_at)
-            )
-        )
-    await asyncio.gather(*tasks)
-    result.elapsed_s = time.perf_counter() - start  # repro-lint: disable=RPL002 - load generator measures real latency by design
-    while not pool.empty():
-        _, writer = pool.get_nowait()
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
     return result

@@ -9,7 +9,7 @@ tCDP-ratio-vs-lifetime trajectory with its crossover month.
 
 Two evaluators produce byte-identical responses:
 
-- :func:`evaluate_point_scalar` — the *serial-dispatch control*: one
+- :func:`evaluate_point_scalar` — the *scalar oracle*: one
   request walked through the existing scalar model stack
   (:class:`~repro.core.uncertainty.ScenarioParameters`,
   :class:`~repro.core.isoline.TcdpTradeoffMap`,
@@ -25,8 +25,8 @@ The float operations agree element for element (the same contract the
 batched Monte Carlo engine honors against its legacy loop), so the
 request batcher can coalesce freely: clients cannot tell, bit for bit,
 how large a batch their query rode in.  ``tests/serve/test_model.py``
-pins this differentially and ``repro bench-serve`` re-checks it on
-every benchmark run.
+pins this differentially and the ``serve_mix`` workload of
+``python -m bench`` re-checks served responses against it.
 """
 
 from __future__ import annotations
@@ -397,7 +397,7 @@ class ModelContext:
 
 
 # ---------------------------------------------------------------------------
-# Point evaluation: scalar control vs batched tensor path
+# Point evaluation: scalar oracle vs batched tensor path
 # ---------------------------------------------------------------------------
 #: The six Fig. 6b perturbations, shared by both evaluators.
 _PERTURBATIONS = paper_perturbations()
@@ -496,7 +496,7 @@ def _point_response(
 def evaluate_point_scalar(
     context: ModelContext, query: PointQuery
 ) -> Dict[str, Any]:
-    """Serial-dispatch control: one query through the scalar stack.
+    """Scalar oracle: one query through the scalar stack.
 
     Every quantity is produced by the pre-existing public model API —
     :class:`ScenarioParameters` objects, one :class:`TcdpTradeoffMap`
@@ -593,7 +593,7 @@ def evaluate_points_batched(
 
     # Scenario sheet: row 0 nominal, rows 1..6 the paper perturbations
     # in paper_perturbations() order (+6mo, -6mo, CIx3, CI/3, yield
-    # low/high) — the same transforms the scalar control applies.
+    # low/high) — the same transforms the scalar oracle applies.
     ones = np.ones(n)
     scen_lts = np.stack(
         [lts, lts + 6.0, np.maximum(0.0, lts - 6.0), lts, lts, lts, lts]

@@ -68,7 +68,6 @@ from repro.serve.model import (
     PointQuery,
     QueryError,
     evaluate_grid,
-    evaluate_point_scalar,
     evaluate_points_batched,
 )
 from repro.serve.batcher import QueueFullError, RequestBatcher
@@ -89,7 +88,6 @@ class ServerConfig:
     port: int = 8080  # 0 = ephemeral (the bound port is on PpatcServer)
     grids: Sequence[str] = SUPPORTED_GRIDS
     clock_mhz: float = 500.0
-    serial: bool = False  # bypass the batcher (the bench's control arm)
     batch_window_s: float = 0.002
     max_batch: int = 128
     max_pending: int = 1024
@@ -197,8 +195,7 @@ class PpatcServer:
             self._access_log_owned = True
         if self.profiler is not None:
             self.profiler.start()
-        if not self.config.serial:
-            self.batcher.start()
+        self.batcher.start()
         self.carbon.sample()
         self._carbon_task = asyncio.get_running_loop().create_task(
             self._carbon_loop(), name="repro-serve-carbon"
@@ -216,8 +213,7 @@ class PpatcServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if not self.config.serial:
-            await self.batcher.stop()
+        await self.batcher.stop()
         self._grid_executor.shutdown(wait=True)
         if self._carbon_task is not None:
             self._carbon_task.cancel()
@@ -283,8 +279,6 @@ class PpatcServer:
         return evaluate_points_batched(self.context, queries)
 
     async def _evaluate_point(self, query: PointQuery) -> Dict[str, Any]:
-        if self.config.serial:
-            return evaluate_point_scalar(self.context, query)
         try:
             return await self.batcher.submit(query)
         except QueueFullError as exc:
@@ -334,7 +328,7 @@ class PpatcServer:
         loop = asyncio.get_running_loop()
         self._request_seq += 1
         request_id = f"{self._request_seq:08x}"
-        queue_depth = 0 if self.config.serial else self.batcher.pending
+        queue_depth = self.batcher.pending
         start = loop.time()  # monotonic event-loop clock, RPL002-clean
         status = 200
         with obs.span(
@@ -454,14 +448,12 @@ class PpatcServer:
             uptime = time.time() - self._started_at  # repro-lint: disable=RPL002 - uptime metadata, not model output
         return {
             "status": "draining" if self._draining else "ok",
-            "mode": "serial" if self.config.serial else "batched",
+            "mode": "batched",
             "grids": list(self.context.grids),
             "clock_mhz": self.context.clock_mhz,
             "uptime_s": uptime,
             "requests_served": self.requests_served,
-            "queue_depth": (
-                0 if self.config.serial else self.batcher.pending
-            ),
+            "queue_depth": self.batcher.pending,
             "slo": self.slo.report(),
             "carbon": self.carbon.sample(),
             "profiler_hz": (
@@ -513,10 +505,9 @@ async def run_server(
     server = PpatcServer(config)
     await server.start()
     stream = announce if announce is not None else sys.stdout
-    mode = "serial" if config.serial else "batched"
     print(
         f"repro-serve listening on http://{config.host}:{server.port} "
-        f"({mode} mode, grids: {','.join(server.context.grids)})",
+        f"(batched mode, grids: {','.join(server.context.grids)})",
         file=stream,
         flush=True,
     )

@@ -101,7 +101,7 @@ def run_workload(
     if metrics.enabled:
         # Post-run aggregation from the simulator's own tallies: the
         # execute loop is never instrumented, so tracing-off overhead
-        # stays inside the BENCH_obs.json <2 % gate.
+        # stays a single flag check.
         metrics.counter("iss.runs").inc()
         metrics.counter("iss.instructions").inc(stats.instructions)
         metrics.counter("iss.cycles").inc(stats.cycles)

@@ -299,12 +299,3 @@ class TestArtifactPipelineInstrumentation:
         )
         assert "cache h/m" not in render_manifest(plain)
 
-
-class TestPerfcountersShim:
-    def test_shim_reexports_obs_perf(self):
-        from repro.obs import perf
-        from repro.runtime import perfcounters
-
-        assert perfcounters.RunPerf is perf.RunPerf
-        assert perfcounters.stopwatch is perf.stopwatch
-        assert perfcounters.render_perf_table is perf.render_perf_table

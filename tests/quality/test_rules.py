@@ -142,7 +142,7 @@ class TestRPL002Determinism:
     def test_runtime_package_exempt(self):
         findings, _ = lint(
             "import time\nt = time.time()\n",
-            rel_path="runtime/perfcounters.py",
+            rel_path="runtime/cache.py",
         )
         assert findings == []
 
@@ -315,7 +315,7 @@ class TestRPL004FloatEquality:
     def test_runtime_exempt(self):
         findings, _ = lint(
             "bad = x == 0.5\n",
-            rel_path="runtime/regression.py",
+            rel_path="runtime/parallel.py",
             rules=["RPL004"],
         )
         assert findings == []

@@ -1,9 +1,9 @@
-"""Perf-counter math and rendering."""
+"""Perf-counter math and rendering (:mod:`repro.obs.perf`)."""
 
 import pytest
 
 from repro.cpu.simulator import ExecutionStats
-from repro.runtime.perfcounters import RunPerf, render_perf_table, stopwatch
+from repro.obs.perf import RunPerf, render_perf_table, stopwatch
 
 
 class TestRunPerf:
@@ -67,19 +67,3 @@ class TestRendering:
             _ = sum(range(1000))
         assert timer.elapsed >= 0.0
 
-
-class TestDeprecationShim:
-    def test_import_emits_deprecation_warning(self):
-        import importlib
-
-        import repro.runtime.perfcounters as shim
-
-        with pytest.warns(DeprecationWarning, match="repro.obs"):
-            importlib.reload(shim)
-
-    def test_reexports_are_the_obs_objects(self):
-        from repro.obs import perf
-        from repro.runtime import perfcounters
-
-        assert perfcounters.RunPerf is perf.RunPerf
-        assert perfcounters.Stopwatch is perf.Stopwatch

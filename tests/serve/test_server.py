@@ -1,16 +1,23 @@
-"""In-process server tests: routes, errors, drain, mode equivalence.
+"""In-process server tests: routes, errors, drain, scalar equivalence.
 
 Each test boots a real ``PpatcServer`` on an ephemeral port inside
 ``asyncio.run`` and talks actual HTTP over loopback through the load
-generator's client helpers — the same path ``repro bench-serve`` uses.
+generator's client helpers.
 """
 
 import asyncio
+import hashlib
 import json
 
 import pytest
 
-from repro.serve import PpatcServer, ServerConfig
+from repro.serve import (
+    ModelContext,
+    PointQuery,
+    PpatcServer,
+    ServerConfig,
+    evaluate_point_scalar,
+)
 from repro.serve.loadgen import (
     _post_bytes,
     _read_response,
@@ -156,12 +163,12 @@ def test_grid_endpoint():
 
 
 def test_serial_and_batched_responses_are_bit_equal():
+    """Batched server responses == in-process scalar evaluation, byte
+    for byte, whatever batch each query rode in."""
     corpus = build_corpus(seed=3, n=64)
 
-    async def drive(serial):
-        server = PpatcServer(
-            ServerConfig(serial=serial, **TEST_CONFIG)
-        )
+    async def drive():
+        server = PpatcServer(ServerConfig(**TEST_CONFIG))
         await server.start()
         try:
             return await run_closed_loop(
@@ -170,11 +177,18 @@ def test_serial_and_batched_responses_are_bit_equal():
         finally:
             await server.stop()
 
-    batched = asyncio.run(drive(serial=False))
-    serial = asyncio.run(drive(serial=True))
-    assert batched.errors == 0 and serial.errors == 0
-    assert batched.requests == serial.requests == 64
-    assert batched.digest() == serial.digest()
+    batched = asyncio.run(drive())
+    assert batched.errors == 0
+    assert batched.requests == 64
+    context = ModelContext(grids=TEST_CONFIG["grids"])
+    for index, body in enumerate(corpus):
+        query = PointQuery.from_payload(json.loads(body))
+        expected = json.dumps(
+            evaluate_point_scalar(context, query), separators=(",", ":")
+        ).encode("utf-8")
+        assert batched.response_digests[index] == (
+            hashlib.sha256(expected).hexdigest()
+        ), f"response {index} differs from the scalar evaluation"
 
 
 def test_concurrent_clients_coalesce(clean_obs):
