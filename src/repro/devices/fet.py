@@ -35,6 +35,7 @@ class FET(abc.ABC):
             raise ValueError(f"{name}: width must be > 0, got {width_um}")
         self.name = name
         self.polarity = polarity
+        self._sign = polarity.value  # read on every ids() call
         self.width_um = width_um
 
     # -- to be provided by subclasses -----------------------------------
@@ -58,7 +59,7 @@ class FET(abc.ABC):
         Handles PMOS reflection and reverse (vds < 0) operation through
         source/drain exchange: I(vgs, vds<0) = -I(vgs - vds, -vds).
         """
-        sign = self.polarity.value
+        sign = self._sign
         vgs_n, vds_n = sign * vgs, sign * vds
         if vds_n >= 0:
             current = self._ids_forward_per_um(vgs_n, vds_n)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.devices.fet import FET, Polarity
 from repro.units import THERMAL_VOLTAGE_300K
@@ -77,7 +78,7 @@ class VSParameters:
         if self.i_leak_floor_a_per_um < 0:
             raise ValueError("leakage floor must be >= 0")
 
-    @property
+    @cached_property
     def phi_t(self) -> float:
         return THERMAL_VOLTAGE_300K
 
@@ -86,7 +87,7 @@ class VSParameters:
         """SS = n * phi_t * ln(10), in mV/decade."""
         return self.n_ss * self.phi_t * math.log(10.0) * 1000.0
 
-    @property
+    @cached_property
     def v_dsat_v(self) -> float:
         """Saturation voltage: v_x0 * L / mu (velocity-saturation form).
 

@@ -33,16 +33,12 @@ VDD = 0.7
 LATCH_NODE_CAP_F = 2e-15
 
 
-def build_senseamp(
-    v_plus: float,
-    v_minus: float,
-    enable_delay_s: float = 0.1e-9,
-) -> Circuit:
-    """Cross-coupled latch SA precharged to the input differential.
+def build_senseamp(enable_delay_s: float = 0.1e-9) -> Circuit:
+    """Cross-coupled latch SA with a footed tail enable.
 
-    Nodes ``outp``/``outn`` start at the sampled bitline levels
-    (v_plus/v_minus); the tail enable then fires and the latch
-    regenerates the differential to full rail.
+    The transient starts nodes ``outp``/``outn`` at the sampled bitline
+    levels (see :func:`simulate_sense`); the tail enable then fires and
+    the latch regenerates the differential to full rail.
     """
     circuit = Circuit("senseamp")
     circuit.add(VoltageSource("vdd", "vdd", "0", Dc(VDD)))
@@ -63,12 +59,6 @@ def build_senseamp(
     circuit.add(FetElement("men", si_nfet("en", 0.3), "tail", "en", "0"))
     circuit.add(Capacitor("cp", "outp", "0", LATCH_NODE_CAP_F))
     circuit.add(Capacitor("cn", "outn", "0", LATCH_NODE_CAP_F))
-    # Record intended initial conditions on the object for the runner.
-    circuit.initial_conditions = {  # type: ignore[attr-defined]
-        "outp": v_plus,
-        "outn": v_minus,
-        "tail": 0.0,
-    }
     return circuit
 
 
@@ -101,12 +91,11 @@ def simulate_sense(
     v_minus = common_mode_v - differential_v / 2
     if v_minus < 0:
         raise AnalysisError("common mode too low for this differential")
-    circuit = build_senseamp(v_plus, v_minus, enable_delay_s)
     result = transient(
-        circuit,
+        build_senseamp(enable_delay_s),
         t_stop=t_stop,
         dt=dt,
-        initial_conditions=circuit.initial_conditions,  # type: ignore[attr-defined]
+        initial_conditions={"outp": v_plus, "outn": v_minus, "tail": 0.0},
         use_dc_start=False,
     )
     outp = result.voltage("outp")

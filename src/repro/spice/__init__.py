@@ -5,10 +5,11 @@ the paper validates eDRAM timing "using SPICE circuit simulations, with
 compact device models for Si CMOS, CNFETs, and IGZO FETs".  The simulator
 implements:
 
-- modified nodal analysis with voltage-source branch currents;
+- modified nodal analysis with voltage-source branch currents, each
+  netlist compiled once per analysis into a stamp plan;
 - Newton-Raphson DC operating point with gmin regularization, damping,
   and source stepping;
-- fixed-step backward-Euler / trapezoidal transient analysis;
+- fixed-step backward-Euler transient analysis;
 - waveform post-processing (threshold crossings, delays, energies).
 
 It is a dense-matrix simulator intended for the bit-cell and sub-array

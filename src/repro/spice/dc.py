@@ -8,20 +8,9 @@ import numpy as np
 
 from repro.errors import ConvergenceError
 from repro.spice.elements import VoltageSource
-from repro.spice.mna import DEFAULT_GMIN, newton_solve, solution_dict
+from repro.spice.mna import DEFAULT_GMIN, StampPlan, newton_solve
 from repro.spice.netlist import Circuit
 from repro.spice.waveform import Dc
-
-
-class _ScaledDrive:
-    """Wraps a drive, scaling its value — used for source stepping."""
-
-    def __init__(self, drive, scale: float) -> None:
-        self._drive = drive
-        self.scale = scale
-
-    def at(self, t: float) -> float:
-        return self._drive.at(t) * self.scale
 
 
 def dc_operating_point(
@@ -33,45 +22,26 @@ def dc_operating_point(
 
     Strategy: plain Newton from the initial guess (zeros by default); on
     failure, source stepping — ramp all independent voltage sources from
-    0 to 100 % in increments, reusing each converged solution as the next
-    starting point.
+    10 % to 100 % in 10 steps, reusing each converged solution as the
+    next starting point.  The netlist itself is never modified.
 
     Returns:
         Node name -> voltage.  Time-varying sources are evaluated at t=0.
     """
-    circuit.validate()
-    n = circuit.n_unknowns()
-    v0 = np.zeros(n)
+    plan = StampPlan(circuit, gmin)
+    v = np.zeros(plan.n)
     if initial_guess:
-        index = circuit.unknown_index()
-        for node, value in initial_guess.items():
-            idx = index.get(node, -1)
-            if idx >= 0:
-                v0[idx] = value
+        plan.set_nodes(v, initial_guess)
     try:
-        v = newton_solve(circuit, v0, t=0.0, dt=None, v_prev=None, gmin=gmin)
-        return solution_dict(circuit, v)
+        return plan.solution(newton_solve(plan, v, t=0.0, dt=None, v_prev=None))
     except ConvergenceError:
         pass
-
-    # Source stepping fallback.
-    sources = [e for e in circuit.elements if isinstance(e, VoltageSource)]
-    originals = [s.drive for s in sources]
-    scaled = [_ScaledDrive(d, 0.0) for d in originals]
-    for s, wrapped in zip(sources, scaled):
-        s.drive = wrapped
-    try:
-        v = np.zeros(n)
-        for scale in np.linspace(0.1, 1.0, 10):
-            for wrapped in scaled:
-                wrapped.scale = float(scale)
-            v = newton_solve(
-                circuit, v, t=0.0, dt=None, v_prev=None, gmin=gmin
-            )
-        return solution_dict(circuit, v)
-    finally:
-        for s, original in zip(sources, originals):
-            s.drive = original
+    v = np.zeros(plan.n)
+    for scale in np.linspace(0.1, 1.0, 10):
+        v = newton_solve(
+            plan, v, t=0.0, dt=None, v_prev=None, source_scale=float(scale)
+        )
+    return plan.solution(v)
 
 
 def dc_sweep(

@@ -1,16 +1,14 @@
-"""Circuit elements.
+"""Circuit elements: plain netlist data.
 
-Every element knows how to *stamp* itself into the MNA residual vector and
-Jacobian.  The sign convention: the residual of a node equation is the sum
-of currents flowing OUT of the node; the solver drives all residuals to
-zero.
+An element holds its name, its nodes and its values, and nothing else.
+The analyses compile a circuit's elements into a
+:class:`~repro.spice.mna.StampPlan`, which owns all of the MNA stamping;
+an element class the plan does not know is rejected at compile time.
 """
 
 from __future__ import annotations
 
 from typing import Optional
-
-import numpy as np
 
 from repro.devices.fet import FET
 from repro.errors import NetlistError
@@ -29,47 +27,6 @@ class Element:
     #: Number of extra MNA unknowns (branch currents) this element needs.
     n_branches = 0
 
-    def stamp(
-        self,
-        residual: np.ndarray,
-        jacobian: np.ndarray,
-        v: np.ndarray,
-        index: "dict[str, int]",
-        branch_offset: int,
-        t: float,
-        dt: Optional[float],
-        v_prev: Optional[np.ndarray],
-    ) -> None:
-        """Add this element's contribution at solution estimate ``v``.
-
-        Args:
-            residual: Node/branch residual vector (modified in place).
-            jacobian: System Jacobian (modified in place).
-            v: Current Newton estimate of node voltages/branch currents.
-            index: Node name -> unknown index (-1 for ground).
-            branch_offset: Index of this element's first branch unknown.
-            t: Current simulation time (0 for DC).
-            dt: Transient time step, or None for DC analysis.
-            v_prev: Previous-step solution (transient only).
-        """
-        raise NotImplementedError
-
-
-def _v_at(v: np.ndarray, idx: int) -> float:
-    return 0.0 if idx < 0 else float(v[idx])
-
-
-def _add(mat_or_vec, i: int, *rest) -> None:
-    """Accumulate into a vector (i, val) or matrix (i, j, val), skipping
-    ground (-1) indices."""
-    if len(rest) == 1:
-        if i >= 0:
-            mat_or_vec[i] += rest[0]
-    else:
-        j, val = rest
-        if i >= 0 and j >= 0:
-            mat_or_vec[i, j] += val
-
 
 class Resistor(Element):
     """Linear resistor between two nodes."""
@@ -79,17 +36,6 @@ class Resistor(Element):
         if resistance <= 0:
             raise NetlistError(f"{name}: resistance must be > 0")
         self.resistance = resistance
-
-    def stamp(self, residual, jacobian, v, index, branch_offset, t, dt, v_prev):
-        a, b = index[self.nodes[0]], index[self.nodes[1]]
-        g = 1.0 / self.resistance
-        current = g * (_v_at(v, a) - _v_at(v, b))
-        _add(residual, a, current)
-        _add(residual, b, -current)
-        _add(jacobian, a, a, g)
-        _add(jacobian, a, b, -g)
-        _add(jacobian, b, a, -g)
-        _add(jacobian, b, b, g)
 
 
 class Capacitor(Element):
@@ -110,21 +56,6 @@ class Capacitor(Element):
         self.capacitance = capacitance
         self.ic = ic
 
-    def stamp(self, residual, jacobian, v, index, branch_offset, t, dt, v_prev):
-        if dt is None:
-            return  # open circuit in DC
-        a, b = index[self.nodes[0]], index[self.nodes[1]]
-        g = self.capacitance / dt
-        v_now = _v_at(v, a) - _v_at(v, b)
-        v_old = _v_at(v_prev, a) - _v_at(v_prev, b)
-        current = g * (v_now - v_old)
-        _add(residual, a, current)
-        _add(residual, b, -current)
-        _add(jacobian, a, a, g)
-        _add(jacobian, a, b, -g)
-        _add(jacobian, b, a, -g)
-        _add(jacobian, b, b, g)
-
 
 class CurrentSource(Element):
     """Independent current source; current flows from n1 through the
@@ -133,12 +64,6 @@ class CurrentSource(Element):
     def __init__(self, name: str, n1: str, n2: str, drive) -> None:
         super().__init__(name, (n1, n2))
         self.drive = drive if hasattr(drive, "at") else Dc(float(drive))
-
-    def stamp(self, residual, jacobian, v, index, branch_offset, t, dt, v_prev):
-        a, b = index[self.nodes[0]], index[self.nodes[1]]
-        i = self.drive.at(t)
-        _add(residual, a, i)
-        _add(residual, b, -i)
 
 
 class VoltageSource(Element):
@@ -154,27 +79,14 @@ class VoltageSource(Element):
         super().__init__(name, (n1, n2))
         self.drive = drive if hasattr(drive, "at") else Dc(float(drive))
 
-    def stamp(self, residual, jacobian, v, index, branch_offset, t, dt, v_prev):
-        a, b = index[self.nodes[0]], index[self.nodes[1]]
-        k = branch_offset
-        i_branch = float(v[k])
-        # KCL: branch current leaves n1, enters n2.
-        _add(residual, a, i_branch)
-        _add(residual, b, -i_branch)
-        _add(jacobian, a, k, 1.0)
-        _add(jacobian, b, k, -1.0)
-        # Branch equation: v(n1) - v(n2) - V(t) = 0.
-        residual[k] += _v_at(v, a) - _v_at(v, b) - self.drive.at(t)
-        _add(jacobian, k, a, 1.0)
-        _add(jacobian, k, b, -1.0)
-
 
 class FetElement(Element):
     """A FET instance wired (drain, gate, source).
 
-    The channel current uses the compact model; gate capacitance is
-    split half to the source and half to the drain (a standard quasi-
-    static simplification) unless ``include_gate_caps=False``.
+    The channel current uses the compact model; in transient analysis
+    the gate capacitance is split half to the source and half to the
+    drain (a standard quasi-static simplification) unless
+    ``include_gate_caps=False``.
     """
 
     def __init__(
@@ -189,38 +101,3 @@ class FetElement(Element):
         super().__init__(name, (drain, gate, source))
         self.fet = fet
         self.include_gate_caps = include_gate_caps
-
-    def stamp(self, residual, jacobian, v, index, branch_offset, t, dt, v_prev):
-        d, g, s = (index[n] for n in self.nodes)
-        vd, vg, vs = _v_at(v, d), _v_at(v, g), _v_at(v, s)
-        vgs, vds = vg - vs, vd - vs
-        ids = self.fet.ids(vgs, vds)
-        dv = 1e-5
-        gm = (self.fet.ids(vgs + dv, vds) - self.fet.ids(vgs - dv, vds)) / (2 * dv)
-        gds = (self.fet.ids(vgs, vds + dv) - self.fet.ids(vgs, vds - dv)) / (2 * dv)
-        # Channel current flows d -> s inside the device.
-        _add(residual, d, ids)
-        _add(residual, s, -ids)
-        for row, sign in ((d, 1.0), (s, -1.0)):
-            _add(jacobian, row, g, sign * gm)
-            _add(jacobian, row, d, sign * gds)
-            _add(jacobian, row, s, sign * (-gm - gds))
-        if self.include_gate_caps and dt is not None:
-            c_half = self.fet.gate_capacitance_f() / 2.0
-            for other in (d, s):
-                self._stamp_cap(
-                    residual, jacobian, v, v_prev, dt, g, other, c_half
-                )
-
-    @staticmethod
-    def _stamp_cap(residual, jacobian, v, v_prev, dt, a, b, cap):
-        g = cap / dt
-        v_now = _v_at(v, a) - _v_at(v, b)
-        v_old = _v_at(v_prev, a) - _v_at(v_prev, b)
-        current = g * (v_now - v_old)
-        _add(residual, a, current)
-        _add(residual, b, -current)
-        _add(jacobian, a, a, g)
-        _add(jacobian, a, b, -g)
-        _add(jacobian, b, a, -g)
-        _add(jacobian, b, b, g)

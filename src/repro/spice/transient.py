@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import AnalysisError, ConvergenceError
 from repro.spice.dc import dc_operating_point
 from repro.spice.elements import VoltageSource
-from repro.spice.mna import DEFAULT_GMIN, newton_solve
+from repro.spice.mna import DEFAULT_GMIN, StampPlan, newton_solve
 from repro.spice.netlist import Circuit
 from repro.spice.waveform import Waveform, _trapezoid
 
@@ -84,63 +84,44 @@ def transient(
         A :class:`TransientResult` with every node and source current
         sampled at every step.
     """
-    circuit.validate()
+    plan = StampPlan(circuit, gmin)
     if dt <= 0 or t_stop <= 0:
         raise AnalysisError("dt and t_stop must be positive")
     if dt > t_stop:
         raise AnalysisError("dt must not exceed t_stop")
 
-    n = circuit.n_unknowns()
-    index = circuit.unknown_index()
-    offsets = circuit.branch_offsets()
-
-    v = np.zeros(n)
+    v = np.zeros(plan.n)
     if use_dc_start:
-        dc = dc_operating_point(circuit, initial_guess=initial_conditions, gmin=gmin)
-        for node, value in dc.items():
-            idx = index.get(node, -1)
-            if idx >= 0:
-                v[idx] = value
+        plan.set_nodes(
+            v, dc_operating_point(circuit, initial_guess=initial_conditions, gmin=gmin)
+        )
     if initial_conditions:
-        for node, value in initial_conditions.items():
+        for node in initial_conditions:
             if not circuit.has_node(node):
                 raise AnalysisError(f"initial condition on unknown node {node!r}")
-            idx = index.get(node, -1)
-            if idx >= 0:
-                v[idx] = value
+        plan.set_nodes(v, initial_conditions)
 
     n_steps = int(round(t_stop / dt))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    history = np.zeros((n_steps + 1, n))
+    history = np.zeros((n_steps + 1, plan.n))
     history[0] = v
 
     for step in range(1, n_steps + 1):
         t = times[step]
         v_prev = history[step - 1]
         try:
-            v = newton_solve(
-                circuit, v_prev.copy(), t=t, dt=dt, v_prev=v_prev, gmin=gmin
-            )
+            v = newton_solve(plan, v_prev, t=t, dt=dt, v_prev=v_prev)
         except ConvergenceError:
             # Retry once with a half step to get past sharp source edges.
-            half = newton_solve(
-                circuit,
-                v_prev.copy(),
-                t=t - dt / 2,
-                dt=dt / 2,
-                v_prev=v_prev,
-                gmin=gmin,
-            )
-            v = newton_solve(
-                circuit, half, t=t, dt=dt / 2, v_prev=half, gmin=gmin
-            )
+            half = newton_solve(plan, v_prev, t=t - dt / 2, dt=dt / 2, v_prev=v_prev)
+            v = newton_solve(plan, half, t=t, dt=dt / 2, v_prev=half)
         history[step] = v
 
     node_voltages = {
-        node: history[:, idx] for node, idx in index.items() if idx >= 0
+        node: history[:, idx] for node, idx in plan.index.items() if idx >= 0
     }
     branch_currents = {
-        name: history[:, off] for name, off in offsets.items()
+        name: history[:, off] for name, off in plan.offsets.items()
     }
     return TransientResult(
         times=times,
