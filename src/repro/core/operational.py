@@ -34,12 +34,15 @@ class UsageScenario:
     daily_windows: Tuple[Tuple[float, float], ...] = ((20.0, 22.0),)
 
     def __post_init__(self) -> None:
-        if np.any(self.lifetime_months < 0):
+        # Written so that NaN fails each check: every comparison with
+        # NaN is False.
+        months = self.lifetime_months
+        if not np.all((months >= 0) & np.isfinite(months)):
             raise CarbonModelError(
-                f"lifetime must be >= 0 months, got {self.lifetime_months}"
+                f"lifetime must be finite and >= 0 months, got {months}"
             )
         for start, end in self.daily_windows:
-            if np.any(start < 0.0) or np.any(end <= start) or np.any(end > 24.0):
+            if not np.all((start >= 0.0) & (end > start) & (end <= 24.0)):
                 raise CarbonModelError(
                     f"bad daily window ({start}, {end})"
                 )

@@ -82,10 +82,10 @@ class ScenarioParameters:
             raise CarbonModelError(f"bad candidate yield {self.candidate_yield}")
         if not (0.0 < self.baseline_yield <= 1.0):
             raise CarbonModelError(f"bad baseline yield {self.baseline_yield}")
-        if self.lifetime_months < 0:
-            raise CarbonModelError("lifetime must be >= 0")
-        if self.ci_use_scale < 0:
-            raise CarbonModelError("CI_use scale must be >= 0")
+        for name in ("lifetime_months", "ci_use_scale"):
+            value = getattr(self, name)
+            if not np.all((value >= 0) & np.isfinite(value)):  # NaN fails
+                raise CarbonModelError(f"{name} must be finite and >= 0, got {value}")
 
     def candidate_point(self) -> TcdpOperatingPoint:
         emb = self.candidate_wafer_g / (

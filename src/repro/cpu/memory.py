@@ -123,16 +123,6 @@ class MemoryMap:
                 return region
         raise MemoryAccessError(f"unmapped address {address:#010x}")
 
-    def port(self, name: str) -> "RegionPort":
-        """A pre-resolved access port for one region.
-
-        Counted reads/writes through a port skip the per-access region
-        scan of :meth:`read`/:meth:`write` — the resolution happens once,
-        here.  Used by the fast execution engine for program fetches and
-        data accesses.
-        """
-        return RegionPort(self.region(name))
-
     # -- typed access (little-endian) -------------------------------------
     def read(self, address: int, size: int, count: bool = True) -> int:
         if size not in (1, 2, 4):
@@ -187,43 +177,7 @@ class MemoryMap:
 
     def reset_counters(self) -> None:
         for region in self._regions:
-            # Reset in place: ports and the fast engine hold references
+            # Reset in place: the superblock engine holds references
             # to the counter objects.
             region.counters.reads = 0
             region.counters.writes = 0
-
-
-class RegionPort:
-    """Bound fast access to a single region.
-
-    Exposes the raw backing ``data`` bytearray, ``counters``, and bounds
-    so a hot loop can perform counted accesses without re-resolving the
-    region on every call.  The port stays valid across
-    :meth:`MemoryMap.reset_counters` (counters reset in place) and
-    region mutation (``data`` is mutated, never replaced).
-    """
-
-    __slots__ = ("region", "base", "end", "data", "counters")
-
-    def __init__(self, region: MemoryRegion) -> None:
-        self.region = region
-        self.base = region.base
-        self.end = region.end
-        self.data = region.data
-        self.counters = region.counters
-
-    @property
-    def version(self) -> int:
-        return self.region.version
-
-    def read_u16(self, address: int) -> int:
-        """Counted halfword read; caller guarantees bounds/alignment."""
-        offset = address - self.base
-        self.counters.reads += 1
-        return int.from_bytes(self.data[offset : offset + 2], "little")
-
-    def read_u32(self, address: int) -> int:
-        """Counted word read; caller guarantees bounds/alignment."""
-        offset = address - self.base
-        self.counters.reads += 1
-        return int.from_bytes(self.data[offset : offset + 4], "little")

@@ -35,7 +35,7 @@ from repro.errors import ExecutionError, ReproError
 _MASK32 = 0xFFFFFFFF
 
 #: Execution engine choices accepted by :meth:`CortexM0.run`.
-ENGINES = ("auto", "superblock", "fast", "legacy")
+ENGINES = ("auto", "superblock", "legacy")
 
 
 @dataclass
@@ -83,7 +83,6 @@ class CortexM0:
             self.memory.recorder = recorder
         self.halted = False
         self._fast = None
-        self._engines = {}
         # Reset state: SP at the top of the data region, LR poisoned.
         data = self.memory.region("data")
         self.regs.write(SP, data.end)
@@ -97,11 +96,11 @@ class CortexM0:
 
     @property
     def fast_engine(self):
-        """The lazily built fast engine, or ``None`` if never used.
+        """The lazily built superblock engine, or ``None`` if never used.
 
-        Exposes the engine-health tallies (``fast_steps``,
-        ``fallback_steps``, ``invalidations``) without poking the
-        private ``_fast`` slot.
+        Exposes the engine-health tallies (``fallback_steps``,
+        ``invalidations``, ``blocks_translated``, ``block_execs``,
+        ``block_steps``) without poking the private ``_fast`` slot.
         """
         return self._fast
 
@@ -113,42 +112,35 @@ class CortexM0:
         Args:
             max_cycles: Cycle budget; exceeding it raises
                 :class:`~repro.errors.ExecutionError`.
-            engine: ``"fast"`` uses the predecoded dispatch-cache engine
-                (:mod:`repro.cpu.fastpath`), ``"legacy"`` the original
-                decode-every-step loop, and ``"auto"`` (default) picks
-                the fast engine unless an access recorder is attached
-                (the recorder needs per-step cycle stamps).  Both
-                engines produce bit-identical statistics, checksums,
-                traces, and access counters.
+            engine: ``"superblock"`` translates straight-line runs into
+                compiled blocks (:mod:`repro.cpu.superblock`), falling
+                back to :meth:`step` outside them; ``"legacy"`` calls
+                :meth:`step` for every instruction; ``"auto"`` (default)
+                picks the superblock engine unless an access recorder is
+                attached (the recorder needs per-step cycle stamps).
+                Both engines produce bit-identical statistics,
+                checksums, traces, and access counters.
         """
         if engine not in ENGINES:
             raise ReproError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        if engine in ("fast", "superblock") and self.memory.recorder is not None:
+        if engine == "superblock" and self.memory.recorder is not None:
             raise ReproError(
-                f"the {engine} engine does not drive access recorders; "
+                "the superblock engine does not drive access recorders; "
                 "use engine='auto' or 'legacy' with a recorder attached"
             )
         if engine == "auto" and self.memory.recorder is None:
             engine = "superblock"
-        if engine in ("fast", "superblock"):
-            # One dispatch-cache engine per kind, built lazily and kept
-            # for the CPU's lifetime (SMC tests re-run on the same
-            # engine so its invalidation path is exercised).
-            cached = self._engines.get(engine)
-            if cached is None:
-                if engine == "superblock":
-                    from repro.cpu.superblock import SuperblockEngine
+        if engine == "superblock":
+            # Built lazily and kept for the CPU's lifetime (SMC tests
+            # re-run on the same engine so its invalidation path is
+            # exercised).
+            if self._fast is None:
+                from repro.cpu.superblock import SuperblockEngine
 
-                    cached = SuperblockEngine(self)
-                else:
-                    from repro.cpu.fastpath import FastEngine
-
-                    cached = FastEngine(self)
-                self._engines[engine] = cached
-            self._fast = cached
-            return cached.run(max_cycles)
+                self._fast = SuperblockEngine(self)
+            return self._fast.run(max_cycles)
         while not self.halted:
             if self.stats.cycles >= max_cycles:
                 raise ExecutionError(

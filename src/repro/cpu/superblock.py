@@ -1,19 +1,22 @@
 """Superblock-translating execution engine for the Cortex-M0 ISS.
 
-:class:`~repro.cpu.fastpath.FastEngine` pays one Python call, one
-per-mnemonic ``Counter`` update, and one ``regs[15]`` store per
-instruction.  This engine extends it by *translating* straight-line runs
-of instructions ("superblocks": everything up to the next BL, BKPT, or
-multi-access memory op, *including* a terminating conditional or
-unconditional branch) into a single exec-compiled Python function,
-executed as one call per block:
+The legacy :meth:`~repro.cpu.simulator.CortexM0.step` re-decodes every
+instruction on every execution.  Programs live in program memory that
+only changes through counted stores, so this engine decodes each run of
+instructions once and *translates* it into a single exec-compiled Python
+function ("superblock"), executed as one call per block.  A block is a
+straight-line run of up to ``_MAX_BLOCK`` instructions ending at a
+terminator — B, B<cond>, BL, BX/BLX, an ADD/MOV that writes PC,
+``POP {..., pc}``, or BKPT — or just before an encoding the legacy
+decoder always faults on.  A block may be a single instruction.
 
-- **Batched constant accounting.**  Every straight-line instruction has
-  a constant cycle count, load/store count, mnemonic, and
-  register-write count, so a block's totals are compile-time constants.
-  The run loop bumps one per-block execution counter; cycles accumulate
-  in a loop local; per-mnemonic counts, loads/stores, and
+- **Batched constant accounting.**  Every instruction has a constant
+  base cycle count, load/store count, mnemonic, and register-write
+  count, so a block's totals are compile-time constants.  The run loop
+  bumps one per-block execution counter; cycles accumulate in a loop
+  local; per-mnemonic counts, fetches, loads/stores, and
   ``register_writes`` flush as ``constant * executions`` at run exit.
+  A terminating conditional branch returns its extra taken cycles.
 - **Flag liveness.**  Within a block, N/Z/C/V stores are emitted only
   when a later reader (ADC/SBC, a potentially faulting memory access,
   or the block exit) can observe them — dead flag writes cost nothing.
@@ -24,26 +27,30 @@ Bit-identity with the legacy engine is preserved exactly, including the
 awkward cases:
 
 - **Faults mid-block** (misaligned/unmapped accesses): the generated
-  code tracks the index of the active memory instruction and, on any
-  exception, restores registers, sets ``regs[15]`` to the faulting pc,
-  and stashes a precomputed partial-progress tuple (instructions,
-  cycles, loads, stores, register writes, per-mnemonic counts for the
-  completed prefix — including the faulting instruction's mnemonic
-  exactly when the legacy decoder counts it before the access) that
-  ``run()`` merges in its ``finally`` clause before re-raising.
+  code tracks the active fault site ``_i`` — one per memory
+  instruction, plus one per later word of a multi-word PUSH/POP/LDM/STM
+  — and, on any exception, restores registers, sets ``regs[15]`` to the
+  faulting pc, and stashes a precomputed partial-progress tuple
+  (instructions, cycles, loads, stores, register writes, per-mnemonic
+  counts of the completed prefix and of the words the faulting
+  instruction completed, including its mnemonic exactly when the legacy
+  decoder counts it before the access) that ``run()`` merges before
+  re-raising.
 - **Self-modifying code**: stores that reach the program region
   invalidate the block cache (block granularity: every translated
   block drops).  The generated code checks the cache generation after
   every slow-path store and, when it changed, exits the block early
   with the same partial-progress protocol so the remaining
   instructions re-translate from the patched bytes.
-- **Cycle limits**: a block only runs when the budget covers every
-  intermediate pre-instruction check the legacy loop would make
-  (``cycles + guard < max_cycles`` where ``guard`` is the cycle prefix
-  before the block's terminating instruction); otherwise execution
-  falls back
-  to the per-instruction dispatch table, which raises the identical
-  ``cycle limit N exceeded`` error at the identical instruction.
+- **The legacy step as the fallback**: a PC outside the program region,
+  an always-faulting encoding (undefined, BL prefix without suffix),
+  and a block the cycle budget does not cover run one
+  :meth:`~repro.cpu.simulator.CortexM0.step` at a time.  A block only
+  runs when the budget covers every pre-instruction check the legacy
+  loop would make (``cycles + guard < max_cycles``, ``guard`` being the
+  cycles before the block's last instruction), so the legacy step
+  raises the identical ``cycle limit N exceeded`` error at the
+  identical instruction.
 """
 
 from __future__ import annotations
@@ -52,8 +59,7 @@ import re
 from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.cpu.fastpath import FastEngine, _Halt, _hamming
-from repro.errors import ExecutionError, MemoryAccessError
+from repro.errors import ExecutionError
 
 _MASK32 = 0xFFFFFFFF
 
@@ -65,11 +71,8 @@ _VEC_TOGGLE_RE = re.compile(r"tg \+= H\((r\d+) \^ v\)")
 #: Block cache slots (plain lists for dispatch speed).
 (
     B_FN, B_CYC, B_GUARD, B_EXECS, B_K, B_LD, B_ST, B_WR, B_PM, B_TB,
-) = range(10)
-
-#: Minimum run length worth translating; shorter runs use the parent
-#: per-instruction handlers (marked ``False`` in the block cache).
-_MIN_BLOCK = 2
+    B_FETCH,
+) = range(11)
 
 #: Maximum instructions fused into one block.
 _MAX_BLOCK = 48
@@ -78,61 +81,47 @@ _ALL_FLAGS = frozenset("nzcv")
 _NZ = frozenset("nz")
 _NZC = frozenset("nzc")
 
-#: Condition-code expressions over the live APSR, mirroring
-#: :func:`repro.cpu.fastpath._cond_fn` case for case (indices 0..13;
-#: 0xE is undefined and 0xF is SVC, neither of which fuses).
+#: Condition-code expressions over the live APSR, indexed by condition
+#: (0..13; 0xE is undefined and 0xF is SVC).
 _COND_EXPR = (
     "R.z", "not R.z", "R.c", "not R.c", "R.n", "not R.n", "R.v",
     "not R.v", "R.c and not R.z", "(not R.c) or R.z", "R.n == R.v",
     "R.n != R.v", "(not R.z) and R.n == R.v", "R.z or R.n != R.v",
 )
 
+#: Tails of terminators that compute their target into ``npc``; vector
+#: blocks first check that the target is the same in every lane.
+_NPC_TAIL = ["regs[15] = npc", "return 0"]
+_NPC_VEC_TAIL = ["regs[15] = eng._lane_pc(npc)", "return 0"]
 
-class _FusedBranch:
-    """A conditional or unconditional branch terminating a block.
 
-    ``base_cycles`` joins the block's constant cycle total; the tail
-    code returns the *extra* cycles beyond that base (2 for a taken
-    conditional branch, 0 otherwise).  ``taken_const`` is the
-    per-execution ``taken_branches`` increment when it is a constant
-    (unconditional branches); data-dependent outcomes bump the stats
-    object directly in the tail.
-    """
+class _NullTrace:
+    """Toggle sink used when no ActivityTrace is attached."""
 
-    __slots__ = ("mnem", "base_cycles", "taken_const", "_lines", "_vec_lines")
+    __slots__ = ("register_writes", "register_toggles")
 
-    def __init__(
-        self,
-        mnem: str,
-        base_cycles: int,
-        taken_const: int,
-        lines: List[str],
-        vec_lines: Optional[List[str]] = None,
-    ) -> None:
-        self.mnem = mnem
-        self.base_cycles = base_cycles
-        self.taken_const = taken_const
-        self._lines = lines
-        self._vec_lines = vec_lines if vec_lines is not None else lines
-
-    def tail(self) -> List[str]:
-        return self._lines
-
-    def vector_tail(self) -> List[str]:
-        """Tail for N-lane blocks: flags may be arrays, so conditional
-        outcomes resolve through ``eng._vec_branch`` (uniform -> extra
-        cycles, divergent -> a divergence object the vector run loop
-        handles)."""
-        return self._vec_lines
+    def __init__(self) -> None:
+        self.register_writes = 0
+        self.register_toggles = 0
 
 
 class _Insn:
-    """One classified straight-line instruction inside a block."""
+    """One classified instruction: its constants and codegen recipe.
+
+    ``gen(i, mat, ctx)`` returns the lines that run inside the block's
+    fault handler.  A block terminator also has ``tail``: lines that run
+    after the register write-back, set ``regs[15]``, and return the
+    cycles beyond ``cycles`` (2 for a taken conditional branch, else 0),
+    or ``None`` after a BKPT halted the core.  ``vec_tail`` is the tail
+    for N-lane blocks, ``taken`` the constant ``taken_branches``
+    increment, and ``fetches`` the counted program fetches (BL: 2).
+    """
 
     __slots__ = (
         "pc", "mnem", "cycles", "loads", "stores", "writes",
         "fw", "fkill", "fr", "faultable", "pm_on_fault",
         "reads_regs", "writes_regs", "gen",
+        "tail", "vec_tail", "taken", "fetches",
     )
 
     def __init__(
@@ -151,6 +140,10 @@ class _Insn:
         pm_on_fault: bool = False,
         reads_regs: Tuple[int, ...] = (),
         writes_regs: Tuple[int, ...] = (),
+        tail: Optional[List[str]] = None,
+        vec_tail: Optional[List[str]] = None,
+        taken: int = 0,
+        fetches: int = 1,
     ) -> None:
         self.pc = pc
         self.mnem = mnem
@@ -168,10 +161,18 @@ class _Insn:
         self.reads_regs = reads_regs
         self.writes_regs = writes_regs
         self.gen = gen
+        self.tail = tail
+        self.vec_tail = vec_tail if vec_tail is not None else tail
+        self.taken = taken
+        self.fetches = fetches
 
 
-class SuperblockEngine(FastEngine):
-    """FastEngine with straight-line runs fused into translated blocks."""
+def _no_code(i, mat, ctx) -> List[str]:
+    return []
+
+
+class SuperblockEngine:
+    """Per-CPU cache of translated blocks, keyed by start address."""
 
     # Flipped by the N-lane vector subclass: switches block codegen to
     # array-safe emission (helper-based memory, deferred branch tails).
@@ -179,30 +180,122 @@ class SuperblockEngine(FastEngine):
 
     # The ``H`` binding in generated blocks; the vector subclass swaps
     # in a polymorphic popcount that journals lane-varying patterns.
-    _toggle_hash = staticmethod(_hamming)
+    _toggle_hash = staticmethod(int.bit_count)
 
     # The ``H2`` binding (pair-journaled toggles).  Scalar blocks never
     # emit an H2 call, so the placeholder is never invoked.
     _toggle_hash2: Any = None
 
     def __init__(self, cpu) -> None:
+        self.cpu = cpu
+        mem = cpu.memory
+        self.prog = mem.region("program")
+        self.data = mem.region("data")
+        self.regs_list = cpu.regs._regs
         self.blocks: Dict[int, Any] = {}
         self._generation = 0
         self._partial: Optional[tuple] = None
-        super().__init__(cpu)
-        # Engine-health tallies (cold paths only), mirrored into the
+        self._decoded_version = self.prog.version
+        self._null_trace = _NullTrace()
+        self._mem_helpers = self._make_mem_helpers(mem, self.prog, self.data)
+        # Engine-health tallies, bumped only at cold points (fallback
+        # steps, invalidations, flushes) and mirrored into the
         # observability counters by the workload runner.
+        self.fallback_steps = 0
+        self.invalidations = 0
         self.blocks_translated = 0
         self.block_execs = 0
         self.block_steps = 0
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Program memory changed: drop blocks and per-PC handlers."""
+        """Program memory changed: fold the tallies, drop every block."""
         self._flush_blocks()
         self.blocks.clear()
         self._generation += 1
-        super().invalidate()
+        self._decoded_version = self.prog.version
+        self.invalidations += 1
+
+    # ------------------------------------------------------------------
+    def _make_mem_helpers(self, mem, prog, data):
+        """Region-resolved data access closures shared by all blocks.
+
+        The clean in-bounds aligned case skips the per-access region
+        scan; everything else (misalignment, spills, unmapped addresses,
+        program-region stores) delegates to the legacy
+        :meth:`MemoryMap.read`/:meth:`MemoryMap.write`, which raises the
+        identical errors and keeps the identical counting discipline.
+        """
+        prog_base, prog_end = prog.base, prog.end
+        prog_data, prog_counters = prog.data, prog.counters
+        data_base, data_end = data.base, data.end
+        data_bytes, data_counters = data.data, data.counters
+        mem_read = mem.read
+        mem_write = mem.write
+        invalidate = self.invalidate
+        from_bytes = int.from_bytes
+
+        def read32(a):
+            if data_base <= a and a + 4 <= data_end and not a & 3:
+                data_counters.reads += 1
+                o = a - data_base
+                return from_bytes(data_bytes[o:o + 4], "little")
+            if prog_base <= a and a + 4 <= prog_end and not a & 3:
+                prog_counters.reads += 1
+                o = a - prog_base
+                return from_bytes(prog_data[o:o + 4], "little")
+            return mem_read(a, 4)
+
+        def read16(a):
+            if data_base <= a and a + 2 <= data_end and not a & 1:
+                data_counters.reads += 1
+                o = a - data_base
+                return from_bytes(data_bytes[o:o + 2], "little")
+            if prog_base <= a and a + 2 <= prog_end and not a & 1:
+                prog_counters.reads += 1
+                o = a - prog_base
+                return from_bytes(prog_data[o:o + 2], "little")
+            return mem_read(a, 2)
+
+        def read8(a):
+            if data_base <= a < data_end:
+                data_counters.reads += 1
+                return data_bytes[a - data_base]
+            if prog_base <= a < prog_end:
+                prog_counters.reads += 1
+                return prog_data[a - prog_base]
+            return mem_read(a, 1)
+
+        def write32(a, v):
+            if data_base <= a and a + 4 <= data_end and not a & 3:
+                data_counters.writes += 1
+                o = a - data_base
+                data_bytes[o:o + 4] = (v & 0xFFFFFFFF).to_bytes(4, "little")
+                return
+            mem_write(a, v, 4)
+            if prog_base <= a < prog_end:
+                invalidate()
+
+        def write16(a, v):
+            if data_base <= a and a + 2 <= data_end and not a & 1:
+                data_counters.writes += 1
+                o = a - data_base
+                data_bytes[o:o + 2] = (v & 0xFFFF).to_bytes(2, "little")
+                return
+            mem_write(a, v, 2)
+            if prog_base <= a < prog_end:
+                invalidate()
+
+        def write8(a, v):
+            if data_base <= a < data_end:
+                data_counters.writes += 1
+                data_bytes[a - data_base] = v & 0xFF
+                return
+            mem_write(a, v, 1)
+            if prog_base <= a < prog_end:
+                invalidate()
+
+        return read32, read16, read8, write32, write16, write8
 
     # ------------------------------------------------------------------
     def _flush_blocks(self) -> None:
@@ -216,7 +309,7 @@ class SuperblockEngine(FastEngine):
                 e = b[B_EXECS]
                 b[B_EXECS] = 0
                 k = e * b[B_K]
-                prog_reads += k
+                prog_reads += e * b[B_FETCH]
                 stats.instructions += k
                 stats.loads += e * b[B_LD]
                 stats.stores += e * b[B_ST]
@@ -256,21 +349,15 @@ class SuperblockEngine(FastEngine):
         if self._decoded_version != self.prog.version:
             self.invalidate()
         stats = cpu.stats
+        if cpu.halted:
+            return stats
         regs = self.regs_list
-        table = self.table
-        decode = self._decode
         bget = self.blocks.get
         translate = self._translate
-        prog_base = self.prog.base
-        prog_counters = self.prog.counters
         trace = cpu.trace
         cycles = stats.cycles
         base_cycles = cycles
         trace_base = trace.cycles if trace is not None else 0
-        steps = 0
-        flushed_steps = 0
-        if cpu.halted:
-            return stats
         try:
             while True:
                 if cycles >= max_cycles:
@@ -280,59 +367,38 @@ class SuperblockEngine(FastEngine):
                     )
                 pc = regs[15]
                 b = bget(pc)
-                if b is None and prog_base <= pc:
+                if b is None:
                     b = translate(pc)
-                if b and cycles + b[2] < max_cycles:
-                    extra = b[0]()
+                if b and cycles + b[B_GUARD] < max_cycles:
+                    extra = b[B_FN]()
                     if extra is not None:
                         # Normal exit: ``extra`` is the terminating
-                        # branch's cycles beyond the not-taken base
-                        # (0 for blocks without a fused branch).
-                        b[3] += 1
-                        cycles += b[1] + extra
+                        # branch's cycles beyond its base.
+                        b[B_EXECS] += 1
+                        cycles += b[B_CYC] + extra
                         continue
-                    # Early exit: a store invalidated the block cache.
+                    # Early exit: a store invalidated the block cache,
+                    # or a BKPT halted; the block stashed its progress.
                     cycles = self._merge_partial(cycles)
-                    continue
-                h = None
-                if prog_base <= pc:
-                    try:
-                        h = table[pc - prog_base]
-                    except IndexError:
-                        pass
-                    else:
-                        if h is None:
-                            h = decode(pc)
-                if h is not None:
-                    steps += 1
-                    cycles += h()
-                else:
-                    # Executing outside the predecoded program region:
-                    # flush and take one legacy step, which decodes,
-                    # counts, and raises identically.
-                    delta = steps - flushed_steps
-                    flushed_steps = steps
-                    prog_counters.reads += delta
-                    stats.instructions += delta
-                    self._flush_blocks()
-                    stats.cycles = cycles
-                    if trace is not None:
-                        trace.cycles = trace_base + (cycles - base_cycles)
-                    cpu.step()
-                    self.fallback_steps += 1
-                    cycles = stats.cycles
                     if cpu.halted:
                         break
-        except _Halt:
-            cycles += 1  # the BKPT cycle
+                    continue
+                # No block (PC outside the program region, an
+                # always-faulting encoding) or the cycle budget ends
+                # inside the block: one legacy step, which decodes,
+                # counts, and raises identically.
+                stats.cycles = cycles
+                if trace is not None:
+                    trace.cycles = trace_base + (cycles - base_cycles)
+                cpu.step()
+                self.fallback_steps += 1
+                cycles = stats.cycles
+                if cpu.halted:
+                    break
         finally:
             cycles = self._merge_partial(cycles)
-            delta = steps - flushed_steps
-            prog_counters.reads += delta
-            stats.instructions += delta
             self._flush_blocks()
             stats.cycles = cycles
-            self.fast_steps += steps
             if trace is not None:
                 trace.cycles = trace_base + (cycles - base_cycles)
         return stats
@@ -341,128 +407,57 @@ class SuperblockEngine(FastEngine):
     # Translation
     # ------------------------------------------------------------------
     def _translate(self, start: int):
-        """Classify the straight-line run at ``start`` and compile it.
+        """Classify the run at ``start`` and compile it.
 
-        Returns the block list, or ``False`` (cached) when the run is
-        too short to be worth fusing.
+        Returns the block list, or ``False`` (cached) when ``start`` is
+        outside the program region or holds an always-faulting encoding.
         """
         mem = self.cpu.memory
-        prog_end = self.prog.end
+        prog_base, prog_end = self.prog.base, self.prog.end
         insns: List[_Insn] = []
-        branch = None
         pc = start
-        while len(insns) < _MAX_BLOCK:
-            if pc < self.prog.base or pc + 2 > prog_end or pc & 1:
-                break
-            try:
-                raw = mem.read(pc, 2, count=False)
-            except MemoryAccessError:
-                break
-            d = self._classify(pc, raw)
+        while (
+            len(insns) < _MAX_BLOCK
+            and prog_base <= pc
+            and pc + 2 <= prog_end
+            and not pc & 1
+        ):
+            d = self._classify(pc, mem.read(pc, 2, count=False))
             if d is None:
-                if insns:
-                    branch = self._classify_branch(pc, raw)
                 break
             insns.append(d)
+            if d.tail is not None:
+                break
             pc += 2
-        if len(insns) + (1 if branch else 0) < _MIN_BLOCK:
+        if not insns:
             self.blocks[start] = False
             return False
-        block = self._compile(start, insns, branch)
+        block = self._compile(start, insns)
         self.blocks[start] = block
         self.blocks_translated += 1
         return block
 
     # ------------------------------------------------------------------
-    def _classify_branch(self, pc: int, insn: int) -> Optional[_FusedBranch]:
-        """Classify a block-terminating branch for fusion, or ``None``.
-
-        Mirrors the conditional/unconditional branch handlers in
-        :meth:`FastEngine._build`: ``bcond`` costs 3 cycles taken / 1
-        not taken, ``b`` always 3, and both count one ``taken_branches``
-        per taken execution.
-        """
-        if (insn & 0xF800) == 0xE000:
-            offset = insn & 0x7FF
-            if offset & 0x400:
-                offset -= 0x800
-            target = (pc + 4 + (offset << 1)) & _MASK32
-            return _FusedBranch(
-                "b", 3, 1, [f"regs[15] = {target}", "return 0"]
-            )
-        if (insn & 0xF000) == 0xD000:
-            cond = (insn >> 8) & 0xF
-            if cond >= 0xE:  # 0xE undefined, 0xF SVC
-                return None
-            offset = insn & 0xFF
-            if offset & 0x80:
-                offset -= 0x100
-            taken_pc = (pc + 4 + (offset << 1)) & _MASK32
-            if cond < 8:
-                # Single-flag condition: when the flag is a plain bool
-                # (lane-uniform), resolve inline; anything else (an
-                # array, a NumPy scalar) defers to _vec_branch.
-                flag = "zzccnnvv"[cond]
-                want = "True" if (cond & 1) == 0 else "False"
-                other = "False" if want == "True" else "True"
-                vec_lines = [
-                    f"f_ = R.{flag}",
-                    f"if f_ is {want}:",
-                    "    st.taken_branches += 1",
-                    f"    regs[15] = {taken_pc}",
-                    "    return 2",
-                    f"if f_ is {other}:",
-                    f"    regs[15] = {pc + 2}",
-                    "    return 0",
-                    f"return eng._vec_branch({cond}, {taken_pc}, {pc + 2})",
-                ]
-            else:
-                vec_lines = [
-                    f"return eng._vec_branch({cond}, {taken_pc}, {pc + 2})",
-                ]
-            return _FusedBranch(
-                "bcond", 1, 0,
-                [
-                    f"if {_COND_EXPR[cond]}:",
-                    "    st.taken_branches += 1",
-                    f"    regs[15] = {taken_pc}",
-                    "    return 2",
-                    f"regs[15] = {pc + 2}",
-                    "return 0",
-                ],
-                vec_lines=vec_lines,
-            )
-        return None
-
-    # ------------------------------------------------------------------
-    def _compile(self, start: int, insns: List[_Insn], branch=None):
-        """Generate, exec, and wrap the fused handler for one block.
-
-        ``branch`` is an optional ``_FusedBranch`` terminating the
-        block; its (possibly data-dependent) cycles and ``regs[15]``
-        update are emitted in the block tail, and its extra-over-base
-        cycles are the generated function's return value.
-        """
-        k = len(insns)
+    def _compile(self, start: int, insns: List[_Insn]):
+        """Generate, exec, and wrap the fused handler for one block."""
+        n = len(insns)
         # Backward flag liveness: a flag store is emitted only when a
         # later reader may observe it.  Memory instructions read all
         # four (a fault freezes architectural state mid-block), and the
-        # block exit is conservatively a full read (the terminator may
-        # be a conditional branch).
+        # block exit is conservatively a full read.
         live: Set[str] = set(_ALL_FLAGS)
-        mats: List[Set[str]] = [set()] * k
-        for i in range(k - 1, -1, -1):
+        mats: List[Set[str]] = [set()] * n
+        for i in range(n - 1, -1, -1):
             d = insns[i]
             reads = set(d.fr) | (_ALL_FLAGS if d.faultable else frozenset())
             mats[i] = set(d.fw) & live
             live = (live - set(d.fkill)) | reads
 
-        # Prefix tables for fault / self-modifying-code exits.
-        pcs = tuple(d.pc for d in insns)
-        cyc_prefix = [0] * (k + 1)
-        ld_prefix = [0] * (k + 1)
-        st_prefix = [0] * (k + 1)
-        wr_prefix = [0] * (k + 1)
+        # Prefix tables for fault / self-modifying-code / halt exits.
+        cyc_prefix = [0] * (n + 1)
+        ld_prefix = [0] * (n + 1)
+        st_prefix = [0] * (n + 1)
+        wr_prefix = [0] * (n + 1)
         pm_prefix: List[Counter] = [Counter()]
         for i, d in enumerate(insns):
             cyc_prefix[i + 1] = cyc_prefix[i] + d.cycles
@@ -472,27 +467,25 @@ class SuperblockEngine(FastEngine):
             nxt = Counter(pm_prefix[i])
             nxt[d.mnem] += 1
             pm_prefix.append(nxt)
-        # FLT[i]: legacy state when instruction i faults — its fetch is
-        # counted, its cycles/loads/stores/writes are not, and its
-        # mnemonic is counted only for formats that tally before the
-        # access (register-offset loads/stores).
-        flt = []
-        smc = []
-        for i, d in enumerate(insns):
-            pm_f = Counter(pm_prefix[i])
-            if d.pm_on_fault:
-                pm_f[d.mnem] += 1
-            flt.append((
-                i + 1, cyc_prefix[i], ld_prefix[i], st_prefix[i],
-                wr_prefix[i], tuple(pm_f.items()),
-            ))
-            smc.append((
-                i + 1, cyc_prefix[i + 1], ld_prefix[i + 1],
-                st_prefix[i + 1], wr_prefix[i + 1],
-                tuple(pm_prefix[i + 1].items()),
-            ))
-        flt_t = tuple(flt)
-        smc_t = tuple(smc)
+
+        def progress(i: int, done: bool, ld=0, stc=0, wr=0) -> tuple:
+            # Instructions 0..i fetched; 0..i-1 (all of 0..i when
+            # ``done``) completed, plus the loads / stores / register
+            # writes instruction i counted before faulting.
+            j = i + 1 if done else i
+            pm = Counter(pm_prefix[j])
+            if not done and insns[i].pm_on_fault:
+                pm[insns[i].mnem] += 1
+            return (
+                i + 1, cyc_prefix[j], ld_prefix[j] + ld, st_prefix[j] + stc,
+                wr_prefix[j] + wr, tuple(pm.items()),
+            )
+
+        # Fault sites: FLT[i] / PCS[i] for instruction i; multi-word
+        # instructions append one site per later word (``ctx.site``).
+        pcs = [d.pc for d in insns]
+        flt = [progress(i, False) for i in range(n)]
+        smc = tuple(progress(i, True) for i in range(n))
 
         cached = sorted(
             {r for d in insns for r in d.reads_regs}
@@ -500,22 +493,6 @@ class SuperblockEngine(FastEngine):
         )
         written = sorted({r for d in insns for r in d.writes_regs})
         wb = "; ".join(f"regs[{r}] = r{r}" for r in written) or "pass"
-        end_pc = pcs[-1] + 2
-
-        k_total = k + (1 if branch else 0)
-        cyc_total = cyc_prefix[k]
-        tb_const = 0
-        pm_total = Counter(pm_prefix[k])
-        if branch:
-            # The terminator executes only after every straight-line
-            # instruction's pre-check passed, so the guard is the full
-            # straight-line prefix.
-            guard = cyc_prefix[k]
-            cyc_total += branch.base_cycles
-            tb_const = branch.taken_const
-            pm_total[branch.mnem] += 1
-        else:
-            guard = cyc_prefix[k - 1]
 
         lines: List[str] = []
         lines.append(
@@ -538,7 +515,7 @@ class SuperblockEngine(FastEngine):
         for r in cached:
             lines.append(f"    r{r} = regs[{r}]")
         lines.append("    try:")
-        ctx = _GenCtx(self, wb, vector=self._vector)
+        ctx = _GenCtx(self, wb, self._vector, pcs, flt, progress)
         body: List[str] = []
         for i, d in enumerate(insns):
             body.append(f"# {d.pc:#06x} {d.mnem}")
@@ -559,13 +536,13 @@ class SuperblockEngine(FastEngine):
         lines.append("        raise")
         lines.append(f"    {wb}")
         lines.append("    tr.register_toggles += tg")
-        if branch is None:
-            lines.append(f"    regs[15] = {end_pc}")
-            lines.append("    return 0")
+        last = insns[-1]
+        if last.tail is None:
+            tail = [f"regs[15] = {last.pc + 2}", "return 0"]
         else:
-            tail = branch.vector_tail() if self._vector else branch.tail()
-            for ln in tail:
-                lines.append("    " + ln)
+            tail = last.vec_tail if self._vector else last.tail
+        for ln in tail:
+            lines.append("    " + ln)
 
         tr = self.cpu.trace if self.cpu.trace is not None else self._null_trace
         r32, r16, r8, w32, w16, w8 = self._mem_helpers
@@ -581,33 +558,37 @@ class SuperblockEngine(FastEngine):
             "read32": r32, "read16": r16, "read8": r8,
             "write32": w32, "write16": w16, "write8": w8,
             "eng": self,
+            "cpu": self.cpu,
             "st": self.cpu.stats,
-            "PCS": pcs,
-            "FLT": flt_t,
-            "SMC": smc_t,
+            "PCS": tuple(pcs),
+            "FLT": tuple(flt),
+            "SMC": smc,
+            "DONE": smc[-1],
         }
         src = "\n".join(lines)
         exec(compile(src, f"<superblock@{start:#06x}>", "exec"), ns)
         fn = ns["_block"]
+        pm_total = pm_prefix[n]
         return [
-            fn, cyc_total, guard, 0, k_total,
-            ld_prefix[k], st_prefix[k], wr_prefix[k],
-            tuple(pm_total.items()), tb_const,
+            fn, cyc_prefix[n], cyc_prefix[n - 1], 0, n,
+            ld_prefix[n], st_prefix[n], wr_prefix[n],
+            tuple(pm_total.items()), sum(d.taken for d in insns),
+            sum(d.fetches for d in insns),
         ]
 
     # ------------------------------------------------------------------
-    # Classification: one straight-line instruction -> codegen recipe.
-    # Mirrors FastEngine._build case for case; anything that branches,
-    # halts, does multi-register memory access, or is undefined ends
-    # the block (returns None) and runs through the parent handlers.
+    # Classification: one instruction -> codegen recipe.  The encodings
+    # are tested in CortexM0.step()'s order, so each halfword decodes
+    # the same way in both; ``None`` marks an encoding the legacy
+    # decoder always faults on, which ends the block.
     # ------------------------------------------------------------------
     def _classify(self, pc: int, insn: int) -> Optional[_Insn]:  # noqa: C901
         db = self.data.base
         de = self.data.end
         top5 = insn >> 11
 
-        if (insn & 0xF800) == 0xF000:  # BL prefix: terminator
-            return None
+        if (insn & 0xF800) == 0xF000:
+            return self._c_bl(pc, insn)
 
         if top5 in (0b00000, 0b00001, 0b00010):
             return self._c_shift_imm(pc, insn)
@@ -690,27 +671,43 @@ class SuperblockEngine(FastEngine):
         if (insn & 0xFF00) == 0xBA00:
             return self._c_rev(pc, insn)
 
-        if (insn & 0xF600) == 0xB400:  # PUSH/POP: terminator
-            return None
+        if (insn & 0xF600) == 0xB400:
+            return self._c_push_pop(pc, insn)
 
-        if (insn & 0xFF00) == 0xBE00:  # BKPT: terminator
-            return None
+        if (insn & 0xFF00) == 0xBE00:  # BKPT: halt, PC stays put
+            return _Insn(
+                pc, "bkpt", 1, _no_code,
+                tail=[
+                    "cpu.halted = True",
+                    f"regs[15] = {pc}",
+                    "eng._partial = DONE",
+                    "return None",
+                ],
+            )
 
         if (insn & 0xFFFF) == 0xBF00:  # NOP
-            def g_nop(i, mat, ctx):
-                return []
-            return _Insn(pc, "nop", 1, g_nop)
+            return _Insn(pc, "nop", 1, _no_code)
 
-        if (insn & 0xF000) == 0xC000:  # LDM/STM: terminator
-            return None
+        if (insn & 0xF000) == 0xC000:
+            return self._c_ldm_stm(pc, insn)
 
         if (insn & 0xFF00) == 0xDF00:  # SVC
-            def g_svc(i, mat, ctx):
-                return []
-            return _Insn(pc, "svc", 1, g_svc)
+            return _Insn(pc, "svc", 1, _no_code)
 
-        # Conditional branch, B, undefined encodings: terminator.
-        return None
+        if (insn & 0xF000) == 0xD000:
+            return self._c_bcond(pc, insn)
+
+        if (insn & 0xF800) == 0xE000:  # B
+            offset = insn & 0x7FF
+            if offset & 0x400:
+                offset -= 0x800
+            target = (pc + 4 + (offset << 1)) & _MASK32
+            return _Insn(
+                pc, "b", 3, _no_code,
+                tail=[f"regs[15] = {target}", "return 0"], taken=1,
+            )
+
+        return None  # undefined
 
     # -- flag helpers --------------------------------------------------
     @staticmethod
@@ -1184,78 +1181,6 @@ class SuperblockEngine(FastEngine):
             reads_regs=(rm,), writes_regs=(rdn,),
         )
 
-    def _c_hi_ops(self, pc: int, insn: int) -> Optional[_Insn]:
-        op = (insn >> 8) & 0x3
-        rm = (insn >> 3) & 0xF
-        rd = ((insn >> 4) & 0x8) | (insn & 0x7)
-        if op == 0x3:  # BX / BLX: terminator
-            return None
-        pc4 = (pc + 4) & _MASK32
-        if op == 0x0:  # ADD (no flags)
-            if rd == 15:
-                return None  # branch: terminator
-            if rm == 15:
-                def g(i, mat, ctx, rd=rd, pc4=pc4):
-                    return [
-                        f"v = (r{rd} + {pc4}) & 0xFFFFFFFF",
-                        f"tg += H(r{rd} ^ v); r{rd} = v",
-                    ]
-                return _Insn(
-                    pc, "add", 1, g, writes=1,
-                    reads_regs=(rd,), writes_regs=(rd,),
-                )
-
-            def g(i, mat, ctx, rd=rd, rm=rm):
-                return [
-                    f"v = (r{rd} + r{rm}) & 0xFFFFFFFF",
-                    f"tg += H(r{rd} ^ v); r{rd} = v",
-                ]
-            return _Insn(
-                pc, "add", 1, g, writes=1,
-                reads_regs=(rd, rm), writes_regs=(rd,),
-            )
-        if op == 0x1:  # CMP
-            aexpr = str(pc4) if rd == 15 else f"r{rd}"
-            bexpr = str(pc4) if rm == 15 else f"r{rm}"
-
-            def g(i, mat, ctx, aexpr=aexpr, bexpr=bexpr):
-                out = [
-                    f"a = {aexpr}",
-                    f"b = (~{bexpr}) & 0xFFFFFFFF",
-                    "res = a + b + 1",
-                ]
-                if "c" in mat:
-                    out.append("R.c = res > 0xFFFFFFFF")
-                if "v" in mat:
-                    out.append(
-                        "sa = (a & 0x7FFFFFFF) - (a & 0x80000000)"
-                    )
-                    out.append(
-                        "sb = (b & 0x7FFFFFFF) - (b & 0x80000000)"
-                    )
-                    out.append(
-                        "sr = sa + sb + 1; R.v = (sr < -2147483648) | (2147483647 < sr)"
-                    )
-                if "n" in mat or "z" in mat:
-                    out.append("v = res & 0xFFFFFFFF")
-                out += self._nz(mat)
-                return out
-            reads = tuple(r for r in (rd, rm) if r != 15)
-            return _Insn(pc, "cmp", 1, g, fw=_ALL_FLAGS, reads_regs=reads)
-        # MOV (no flags)
-        if rd == 15:
-            return None  # branch: terminator
-        if rm == 15:
-            def g(i, mat, ctx, rd=rd, pc4=pc4):
-                return [f"tg += H(r{rd} ^ {pc4}); r{rd} = {pc4}"]
-            return _Insn(pc, "mov", 1, g, writes=1, writes_regs=(rd,))
-
-        def g(i, mat, ctx, rd=rd, rm=rm):
-            return [f"v = r{rm}", f"tg += H(r{rd} ^ v); r{rd} = v"]
-        return _Insn(
-            pc, "mov", 1, g, writes=1, reads_regs=(rm,), writes_regs=(rd,),
-        )
-
     def _c_ldr_str_reg(self, pc: int, insn: int, db: int, de: int) -> _Insn:
         op = (insn >> 9) & 0x7
         rm = (insn >> 6) & 0x7
@@ -1509,7 +1434,7 @@ class SuperblockEngine(FastEngine):
         op = (insn >> 6) & 0x3
         rm = (insn >> 3) & 0x7
         rd = insn & 0x7
-        if op == 2:  # undefined REV variant: terminator
+        if op == 2:  # undefined REV variant: always faults
             return None
 
         def g(i, mat, ctx, rd=rd, rm=rm, op=op):
@@ -1534,6 +1459,243 @@ class SuperblockEngine(FastEngine):
         )
 
 
+
+    def _c_hi_ops(self, pc: int, insn: int) -> _Insn:
+        op = (insn >> 8) & 0x3
+        rm = (insn >> 3) & 0xF
+        rd = ((insn >> 4) & 0x8) | (insn & 0x7)
+        pc4 = (pc + 4) & _MASK32
+        # Reading PC yields the instruction address + 4.
+        mexpr = str(pc4) if rm == 15 else f"r{rm}"
+        mreads = () if rm == 15 else (rm,)
+        if op == 0x3:  # BX / BLX: terminator
+            blx = bool(insn & 0x80)
+            lr = (pc + 2) | 1
+
+            def g(i, mat, ctx, mexpr=mexpr, blx=blx, lr=lr):
+                out = [f"npc = {mexpr} & 0xFFFFFFFE"]
+                if blx:  # LR after the target read: ``blx lr`` works
+                    out.append(f"r14 = {lr}")
+                return out
+            return _Insn(
+                pc, "blx" if blx else "bx", 3, g,
+                reads_regs=mreads, writes_regs=(14,) if blx else (),
+                tail=_NPC_TAIL, vec_tail=_NPC_VEC_TAIL, taken=1,
+            )
+        if rd == 15 and op != 0x1:  # ADD/MOV to PC: terminator
+            if op == 0x0:
+                expr = f"(({pc4} + {mexpr}) & 0xFFFFFFFF) & 0xFFFFFFFE"
+            else:
+                expr = f"{mexpr} & 0xFFFFFFFE"
+
+            def g(i, mat, ctx, expr=expr):
+                return [f"npc = {expr}"]
+            return _Insn(
+                pc, "add pc" if op == 0x0 else "mov pc", 3, g,
+                reads_regs=mreads,
+                tail=_NPC_TAIL, vec_tail=_NPC_VEC_TAIL, taken=1,
+            )
+        if op == 0x0:  # ADD (no flags)
+            def g(i, mat, ctx, rd=rd, mexpr=mexpr):
+                return [
+                    f"v = (r{rd} + {mexpr}) & 0xFFFFFFFF",
+                    f"tg += H(r{rd} ^ v); r{rd} = v",
+                ]
+            return _Insn(
+                pc, "add", 1, g, writes=1,
+                reads_regs=(rd,) + mreads, writes_regs=(rd,),
+            )
+        if op == 0x1:  # CMP
+            aexpr = str(pc4) if rd == 15 else f"r{rd}"
+
+            def g(i, mat, ctx, aexpr=aexpr, bexpr=mexpr):
+                out = [
+                    f"a = {aexpr}",
+                    f"b = (~{bexpr}) & 0xFFFFFFFF",
+                    "res = a + b + 1",
+                ]
+                if "c" in mat:
+                    out.append("R.c = res > 0xFFFFFFFF")
+                if "v" in mat:
+                    out.append(
+                        "sa = (a & 0x7FFFFFFF) - (a & 0x80000000)"
+                    )
+                    out.append(
+                        "sb = (b & 0x7FFFFFFF) - (b & 0x80000000)"
+                    )
+                    out.append(
+                        "sr = sa + sb + 1; R.v = (sr < -2147483648) | (2147483647 < sr)"
+                    )
+                if "n" in mat or "z" in mat:
+                    out.append("v = res & 0xFFFFFFFF")
+                out += self._nz(mat)
+                return out
+            reads = tuple(r for r in (rd, rm) if r != 15)
+            return _Insn(pc, "cmp", 1, g, fw=_ALL_FLAGS, reads_regs=reads)
+
+        # MOV (no flags)
+        def g(i, mat, ctx, rd=rd, mexpr=mexpr):
+            return [f"v = {mexpr}", f"tg += H(r{rd} ^ v); r{rd} = v"]
+        return _Insn(
+            pc, "mov", 1, g, writes=1, reads_regs=mreads, writes_regs=(rd,),
+        )
+
+    # -- control flow and multi-word memory ----------------------------
+    def _c_bl(self, pc: int, insn: int) -> Optional[_Insn]:
+        if pc + 4 > self.prog.end:
+            return None  # the suffix fetch faults
+        suffix = self.cpu.memory.read(pc + 2, 2, count=False)
+        if (suffix & 0xF800) != 0xF800:
+            return None  # BL prefix without suffix
+        offset = ((insn & 0x7FF) << 11) | (suffix & 0x7FF)
+        if offset & (1 << 21):
+            offset -= 1 << 22
+        target = (pc + 4 + (offset << 1)) & _MASK32
+        lr = (pc + 4) | 1
+
+        def g(i, mat, ctx, lr=lr):
+            # No trace write: the legacy path writes LR directly.
+            return [f"r14 = {lr}"]
+        return _Insn(
+            pc, "bl", 4, g, writes_regs=(14,),
+            tail=[f"regs[15] = {target}", "return 0"], taken=1, fetches=2,
+        )
+
+    def _c_bcond(self, pc: int, insn: int) -> Optional[_Insn]:
+        """``bcond`` costs 1 cycle, plus 2 and one ``taken_branches``
+        when taken."""
+        cond = (insn >> 8) & 0xF
+        if cond == 0xE:  # permanently undefined (UDF)
+            return None
+        offset = insn & 0xFF
+        if offset & 0x80:
+            offset -= 0x100
+        taken_pc = (pc + 4 + (offset << 1)) & _MASK32
+        if cond < 8:
+            # Single-flag condition: when the flag is a plain bool
+            # (lane-uniform), resolve inline; anything else (an array,
+            # a NumPy scalar) defers to _vec_branch.
+            flag = "zzccnnvv"[cond]
+            want = "True" if (cond & 1) == 0 else "False"
+            other = "False" if want == "True" else "True"
+            vec_tail = [
+                f"f_ = R.{flag}",
+                f"if f_ is {want}:",
+                "    st.taken_branches += 1",
+                f"    regs[15] = {taken_pc}",
+                "    return 2",
+                f"if f_ is {other}:",
+                f"    regs[15] = {pc + 2}",
+                "    return 0",
+                f"return eng._vec_branch({cond}, {taken_pc}, {pc + 2})",
+            ]
+        else:
+            vec_tail = [
+                f"return eng._vec_branch({cond}, {taken_pc}, {pc + 2})",
+            ]
+        return _Insn(
+            pc, "bcond", 1, _no_code,
+            tail=[
+                f"if {_COND_EXPR[cond]}:",
+                "    st.taken_branches += 1",
+                f"    regs[15] = {taken_pc}",
+                "    return 2",
+                f"regs[15] = {pc + 2}",
+                "return 0",
+            ],
+            vec_tail=vec_tail,
+        )
+
+    def _c_push_pop(self, pc: int, insn: int) -> _Insn:
+        """PUSH writes SP before its stores; POP writes SP after its
+        loads, and counts its loads and mnemonic only once complete."""
+        pop = bool(insn & (1 << 11))
+        special = bool(insn & (1 << 8))
+        rlist = tuple(r for r in range(8) if insn & (1 << r))
+        n = len(rlist) + int(special)
+        if not pop:
+            stored = rlist + ((14,) if special else ())
+
+            def g(i, mat, ctx, stored=stored, n=n):
+                out = [
+                    f"_i = {i}",
+                    f"a = (r13 - {4 * n}) & 0xFFFFFFFF",
+                    "r13 = a",
+                ]
+                for j, r in enumerate(stored):
+                    out.append(f"write32(a + {4 * j}, r{r})")
+                return out + ctx.genchk(i, indent=0)
+            return _Insn(
+                pc, "push", 1 + n, g, stores=n, faultable=True,
+                reads_regs=(13,) + stored, writes_regs=(13,),
+            )
+
+        def g(i, mat, ctx, n=n):
+            out = [f"_i = {i}", "a = r13"]
+            for j, r in enumerate(rlist):
+                if j:
+                    out.append(f"_i = {ctx.site(i, writes=j)}")
+                out.append(f"v = read32(a + {4 * j})")
+                out.append(f"tg += H(r{r} ^ v); r{r} = v")
+            if special:
+                if rlist:
+                    out.append(f"_i = {ctx.site(i, writes=len(rlist))}")
+                out.append(f"npc = read32(a + {4 * len(rlist)}) & 0xFFFFFFFE")
+            out.append(f"r13 = (a + {4 * n}) & 0xFFFFFFFF")
+            return out
+        if special:  # POP {..., pc}: terminator
+            return _Insn(
+                pc, "pop", 3 + n, g, loads=n, writes=len(rlist),
+                faultable=True, reads_regs=(13,), writes_regs=(13,) + rlist,
+                tail=_NPC_TAIL, vec_tail=_NPC_VEC_TAIL, taken=1,
+            )
+        return _Insn(
+            pc, "pop", 1 + n, g, loads=n, writes=n, faultable=True,
+            reads_regs=(13,), writes_regs=(13,) + rlist,
+        )
+
+    def _c_ldm_stm(self, pc: int, insn: int) -> Optional[_Insn]:
+        """LDM/STM count each word's load/store as it completes; LDM
+        skips the base write-back when it loads the base."""
+        load = bool(insn & (1 << 11))
+        rn = (insn >> 8) & 0x7
+        rlist = tuple(r for r in range(8) if insn & (1 << r))
+        if not rlist:
+            return None  # always raises "empty register list"
+        n = len(rlist)
+        if load:
+            writeback = rn not in rlist
+
+            def g(i, mat, ctx, rn=rn, writeback=writeback):
+                out = [f"_i = {i}", f"a = r{rn}"]
+                for j, r in enumerate(rlist):
+                    if j:
+                        out.append(f"_i = {ctx.site(i, loads=j, writes=j)}")
+                    out.append(f"v = read32(a + {4 * j})")
+                    out.append(f"tg += H(r{r} ^ v); r{r} = v")
+                if writeback:
+                    out.append(f"r{rn} = (a + {4 * n}) & 0xFFFFFFFF")
+                return out
+            return _Insn(
+                pc, "ldm", 1 + n, g, loads=n, writes=n, faultable=True,
+                reads_regs=(rn,),
+                writes_regs=rlist + ((rn,) if writeback else ()),
+            )
+
+        def g(i, mat, ctx, rn=rn):
+            out = [f"_i = {i}", f"a = r{rn}"]
+            for j, r in enumerate(rlist):
+                if j:
+                    out.append(f"_i = {ctx.site(i, stores=j)}")
+                out.append(f"write32(a + {4 * j}, r{r})")
+            out.append(f"r{rn} = (a + {4 * n}) & 0xFFFFFFFF")
+            return out + ctx.genchk(i, indent=0)
+        return _Insn(
+            pc, "stm", 1 + n, g, stores=n, faultable=True,
+            reads_regs=(rn,) + rlist, writes_regs=(rn,),
+        )
+
+
 class _GenCtx:
     """Shared state handed to instruction generators."""
 
@@ -1541,11 +1703,24 @@ class _GenCtx:
         self,
         engine: SuperblockEngine,
         writeback: str,
-        vector: bool = False,
+        vector: bool,
+        pcs: List[int],
+        flt: List[tuple],
+        progress: Callable[..., tuple],
     ) -> None:
         self.engine = engine
         self.writeback = writeback
         self.vector = vector
+        self._pcs = pcs
+        self._flt = flt
+        self._progress = progress
+
+    def site(self, i: int, loads=0, stores=0, writes=0) -> int:
+        """A fault site inside multi-word instruction ``i``, after it
+        counted ``loads``/``stores``/``writes`` for its earlier words."""
+        self._pcs.append(self._pcs[i])
+        self._flt.append(self._progress(i, False, loads, stores, writes))
+        return len(self._flt) - 1
 
     def genchk(self, i: int, indent: int) -> List[str]:
         """Post-slow-path-store generation check (self-modifying code).

@@ -37,14 +37,15 @@ engine — the property the N=1 differential tests pin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cpu.fastpath import _cond_fn, _Halt
 from repro.cpu.memory import MemoryMap
 from repro.cpu.simulator import CortexM0
-from repro.cpu.superblock import SuperblockEngine
+from repro.cpu.superblock import (
+    _COND_EXPR, B_CYC, B_EXECS, B_FN, B_GUARD, SuperblockEngine,
+)
 from repro.cpu.trace import _DATAPATH_AMPLIFICATION, _STATE_BITS, ActivityTrace
 from repro.errors import ExecutionError, ReproError
 
@@ -154,7 +155,8 @@ class VectorEngine(SuperblockEngine):
         self.lanes_retired = 0
         super().__init__(cpu)
         self._toggle_hash, self._toggle_hash2 = self._make_toggle_closures()
-        self._cond_scalar = [_cond_fn(c, cpu.regs) for c in range(14)]
+        env = {"R": cpu.regs}
+        self._cond_scalar = [eval(f"lambda: {e}", env) for e in _COND_EXPR]
 
     # ------------------------------------------------------------------
     # Lane state
@@ -530,27 +532,30 @@ class VectorEngine(SuperblockEngine):
             self.regs_list[15] = d.taken_pc
         return True
 
+    @staticmethod
+    def _lane_pc(value) -> int:
+        """A computed branch target, which must be lane-uniform."""
+        if type(value) is int:
+            return value
+        raise VectorBailout("branch target varies across lanes")
+
     # ------------------------------------------------------------------
     # Run loop (the superblock loop plus divergence handling)
     # ------------------------------------------------------------------
     def run(self, max_cycles: int):
+        """The superblock loop, with no legacy-step fallback: where the
+        scalar engine would step, the lanes bail out to scalar runs."""
         cpu = self.cpu
         if self._decoded_version != self.prog.version:
             self.invalidate()
         stats = cpu.stats
         regs = self.regs_list
-        table = self.table
-        decode = self._decode
         bget = self.blocks.get
         translate = self._translate
-        prog_base = self.prog.base
-        prog_counters = self.prog.counters
         trace = cpu.trace
         cycles = stats.cycles
         base_cycles = cycles
         trace_base = trace.cycles if trace is not None else 0
-        steps = 0
-        flushed_steps = 0
         try:
             while True:
                 if cycles >= max_cycles:
@@ -560,59 +565,40 @@ class VectorEngine(SuperblockEngine):
                     )
                 pc = regs[15]
                 b = bget(pc)
-                if b is None and prog_base <= pc:
+                if b is None:
                     b = translate(pc)
-                if b and cycles + b[2] < max_cycles:
-                    extra = b[0]()
-                    if type(extra) is int:
-                        b[3] += 1
-                        cycles += b[1] + extra
-                        continue
-                    if extra is None:
-                        # No SMC checks are emitted in vector mode.
-                        raise VectorBailout("unexpected block early exit")
-                    # Divergence: the block body and branch base are
-                    # fully executed; sync every tally so retirement
-                    # snapshots see exact architectural state.
-                    b[3] += 1
-                    cycles += b[1]
-                    delta = steps - flushed_steps
-                    flushed_steps = steps
-                    prog_counters.reads += delta
-                    stats.instructions += delta
-                    self._flush_blocks()
-                    stats.cycles = cycles
-                    if trace is not None:
-                        trace.cycles = trace_base + (cycles - base_cycles)
-                    if not self._diverge(extra):
-                        return stats  # every lane retired
-                    cycles = stats.cycles
-                    continue
-                h = None
-                if prog_base <= pc:
-                    try:
-                        h = table[pc - prog_base]
-                    except IndexError:
-                        pass
-                    else:
-                        if h is None:
-                            h = decode(pc)
-                if h is None:
+                if not b or cycles + b[B_GUARD] >= max_cycles:
                     raise VectorBailout(
-                        f"pc {pc:#010x} left the program region"
+                        f"pc {pc:#010x} needs the legacy step"
                     )
-                steps += 1
-                cycles += h()
-        except _Halt:
-            cycles += 1  # the BKPT cycle
+                extra = b[B_FN]()
+                if type(extra) is int:
+                    b[B_EXECS] += 1
+                    cycles += b[B_CYC] + extra
+                    continue
+                if extra is None:
+                    # No SMC checks are emitted in vector mode, so the
+                    # only early exit is a BKPT.
+                    if not cpu.halted:
+                        raise VectorBailout("unexpected block early exit")
+                    cycles = self._merge_partial(cycles)
+                    break
+                # Divergence: the block body and branch base are
+                # fully executed; sync every tally so retirement
+                # snapshots see exact architectural state.
+                b[B_EXECS] += 1
+                cycles += b[B_CYC]
+                self._flush_blocks()
+                stats.cycles = cycles
+                if trace is not None:
+                    trace.cycles = trace_base + (cycles - base_cycles)
+                if not self._diverge(extra):
+                    return stats  # every lane retired
+                cycles = stats.cycles
         finally:
             cycles = self._merge_partial(cycles)
-            delta = steps - flushed_steps
-            prog_counters.reads += delta
-            stats.instructions += delta
             self._flush_blocks()
             stats.cycles = cycles
-            self.fast_steps += steps
             if trace is not None:
                 trace.cycles = trace_base + (cycles - base_cycles)
         # Uniform halt: every still-active lane finished here with the

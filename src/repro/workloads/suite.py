@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro import obs
 from repro.cpu import CortexM0, MemoryMap, assemble
@@ -70,19 +69,16 @@ class WorkloadResult:
 def run_workload(
     workload: Workload,
     max_cycles: int = 500_000_000,
-    engine: Optional[str] = None,
+    engine: str = "auto",
 ) -> WorkloadResult:
     """Assemble, execute, and verify a workload.
 
     Args:
         engine: ISS engine selection passed to
             :meth:`~repro.cpu.simulator.CortexM0.run` (``"auto"``,
-            ``"superblock"``, ``"fast"``, ``"legacy"``).  ``None``
-            reads the ``REPRO_ISS_ENGINE`` environment variable and
-            falls back to ``"auto"``.  All engines are bit-identical.
+            ``"superblock"``, ``"legacy"``).  The engines are
+            bit-identical.
     """
-    if engine is None:
-        engine = os.environ.get("REPRO_ISS_ENGINE", "auto")
     program = assemble(workload.source)
     trace = ActivityTrace()
     cpu = CortexM0(MemoryMap.embedded_system(), trace=trace)
@@ -109,7 +105,6 @@ def run_workload(
             metrics.counter(f"iss.mix.{mnemonic}").inc(count)
         fast = cpu.fast_engine
         if fast is not None:
-            metrics.counter("iss.fastpath.fast_steps").inc(fast.fast_steps)
             metrics.counter("iss.fastpath.fallback_steps").inc(
                 fast.fallback_steps
             )
@@ -119,16 +114,15 @@ def run_workload(
             # Block-cache health of the superblock translator: execs
             # are cache hits (a translated block ran), translations
             # are misses that compiled a new block.
-            if hasattr(fast, "block_execs"):
-                metrics.counter("iss.superblock.blocks_translated").inc(
-                    fast.blocks_translated
-                )
-                metrics.counter("iss.superblock.block_execs").inc(
-                    fast.block_execs
-                )
-                metrics.counter("iss.superblock.block_steps").inc(
-                    fast.block_steps
-                )
+            metrics.counter("iss.superblock.blocks_translated").inc(
+                fast.blocks_translated
+            )
+            metrics.counter("iss.superblock.block_execs").inc(
+                fast.block_execs
+            )
+            metrics.counter("iss.superblock.block_steps").inc(
+                fast.block_steps
+            )
     result = WorkloadResult(
         workload=workload,
         checksum=cpu.regs.read(0),

@@ -1,5 +1,6 @@
 """Tests for C_operational and usage scenarios (Eq. 1, 6-8)."""
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -42,6 +43,24 @@ class TestUsageScenario:
             UsageScenario(1.0, daily_windows=((22.0, 20.0),))
         with pytest.raises(CarbonModelError):
             UsageScenario(1.0, daily_windows=((0.0, 25.0),))
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_out_of_domain_lifetime_rejected(self, bad):
+        with pytest.raises(CarbonModelError):
+            UsageScenario(bad)
+        with pytest.raises(CarbonModelError):
+            UsageScenario(24.0).with_lifetime(bad)
+
+    def test_nan_in_lifetime_array_rejected(self):
+        with pytest.raises(CarbonModelError):
+            UsageScenario(np.array([12.0, float("nan")]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_out_of_domain_window_rejected(self, bad):
+        with pytest.raises(CarbonModelError):
+            UsageScenario(1.0, daily_windows=((bad, 22.0),))
+        with pytest.raises(CarbonModelError):
+            UsageScenario(1.0, daily_windows=((20.0, bad),))
 
 
 class TestOperationalPower:

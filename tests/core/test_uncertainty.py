@@ -53,6 +53,14 @@ class TestScenarioParameters:
         with pytest.raises(CarbonModelError):
             replace(nominal, ci_use_scale=-0.5)
 
+    @pytest.mark.parametrize("field", ["lifetime_months", "ci_use_scale"])
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_out_of_domain_scalars_rejected(self, nominal, field, bad):
+        from dataclasses import replace
+
+        with pytest.raises(CarbonModelError):
+            replace(nominal, **{field: bad})
+
 
 class TestPaperPerturbations:
     def test_six_perturbations(self):

@@ -1,17 +1,29 @@
-"""Per-instruction semantics tests: assemble tiny programs, check state."""
+"""Per-instruction semantics tests: assemble tiny programs, check state.
+
+Every program runs under both the legacy decoder and the superblock
+engine, which must agree on every observable, so each semantic check
+also checks a short translated block.
+"""
 
 import pytest
 
-from repro.cpu import CortexM0, MemoryMap, assemble
+from repro.cpu import CortexM0, assemble
 from repro.errors import AssemblerError, ExecutionError
+from tests.cpu.test_fastpath_differential import run_observed
 
 
 def run_asm(body: str, setup: str = "") -> CortexM0:
-    """Assemble setup+body+bkpt, run to halt, return the CPU."""
+    """Assemble setup+body+bkpt and run it to halt on both engines.
+
+    Returns the superblock engine's CPU; a fault (identical on both
+    engines) is re-raised as :class:`ExecutionError`.
+    """
     source = f"_start:\n{setup}\n{body}\n    bkpt #0\n"
-    cpu = CortexM0(MemoryMap.embedded_system())
-    cpu.load_program(assemble(source))
-    cpu.run(max_cycles=100_000)
+    _, legacy = run_observed(source, "legacy", max_cycles=100_000)
+    cpu, superblock = run_observed(source, "superblock", max_cycles=100_000)
+    assert superblock == legacy
+    if legacy["error"] is not None:
+        raise ExecutionError(legacy["error"])
     return cpu
 
 
@@ -393,10 +405,7 @@ end:
 
 class TestCycleTimings:
     def _cycles(self, body: str) -> int:
-        source = f"_start:\n{body}\n    bkpt #0\n"
-        cpu = CortexM0()
-        cpu.load_program(assemble(source))
-        return cpu.run().cycles - 1  # minus the bkpt cycle
+        return run_asm(body).stats.cycles - 1  # minus the bkpt cycle
 
     def test_data_op_one_cycle(self):
         assert self._cycles("    movs r0, #1") == 1

@@ -1,7 +1,7 @@
 """Differential tests: the N-lane vector engine vs the scalar engines.
 
 The lockstep vector engine must be *bit-identical* per lane to the
-scalar fast/superblock path — same checksums, statistics, access
+scalar superblock path — same checksums, statistics, access
 counters, and activity trace — whether the run stays vectorized or
 falls back.  N=1 is the property anchor: one lane must degenerate to
 exactly the scalar result on every workload.
@@ -34,13 +34,13 @@ LANE_FIELDS = (
 )
 
 
-def fast_reference(source, max_cycles=500_000_000):
-    """Scalar fast-engine run shaped like a LaneOutcome field dict."""
+def scalar_reference(source, max_cycles=500_000_000):
+    """Scalar superblock run shaped like a LaneOutcome field dict."""
     program = assemble(source)
     trace = ActivityTrace()
     cpu = CortexM0(MemoryMap.embedded_system(), trace=trace)
     cpu.load_program(program)
-    cpu.run(max_cycles=max_cycles, engine="fast")
+    cpu.run(max_cycles=max_cycles, engine="superblock")
     counters = {r.name: r.counters for r in cpu.memory.regions}
     return {
         "checksum": cpu.regs.read(0),
@@ -80,7 +80,7 @@ def test_n1_bit_identical_to_fast_engine(workload):
     """One vector lane degenerates to the scalar result, field-for-field."""
     result = run_lanes(workload.source, lanes=1)
     assert_lane_matches(
-        result.lanes[0], fast_reference(workload.source), workload.name
+        result.lanes[0], scalar_reference(workload.source), workload.name
     )
 
 
@@ -89,7 +89,7 @@ def test_medium_matmul_n1_identity():
     workload = matmul_int.workload(n=12, repeats=4, tune=5)
     result = run_lanes(workload.source, lanes=1)
     assert result.vectorized
-    assert_lane_matches(result.lanes[0], fast_reference(workload.source))
+    assert_lane_matches(result.lanes[0], scalar_reference(workload.source))
 
 
 def test_seed_variants_vectorize_and_match_goldens():
@@ -155,6 +155,59 @@ def test_bailout_falls_back_to_correct_scalar_results():
         reference = _scalar_lane(program, (offset,), 500_000_000)
         assert_lane_matches(lane, reference, f"offset={offset} ")
         assert lane.checksum == offset
+
+
+def test_calls_and_stack_traffic_stay_vectorized():
+    """BL, BX, PUSH/POP and STM/LDM of lane-varying registers run in
+    lockstep blocks and match scalar reruns."""
+    source = """
+        ldr r0, =0x20000000
+        ldr r1, [r0]        @ per-lane value
+        bl double
+        bl double
+        ldr r5, =0x20000100
+        movs r2, #3
+        stmia r5!, {r1, r2}
+        subs r5, #8
+        ldmia r5!, {r6, r7}
+        adds r0, r6, r7
+        bkpt #0
+    double:
+        push {r1, lr}
+        pop {r2, r3}        @ r2: the lane value, r3: the return address
+        adds r1, r2, r2
+        bx r3
+    """
+    values = [1, 5, 9, 1000]
+    result = run_lanes(source, lane_words=[(v,) for v in values])
+    assert result.vectorized, result.bail_reason
+    program = assemble(source)
+    for value, lane in zip(values, result.lanes):
+        assert lane.checksum == 4 * value + 3
+        reference = _scalar_lane(program, (value,), 500_000_000)
+        assert_lane_matches(lane, reference, f"value={value} ")
+
+
+def test_lane_varying_return_address_bails_out():
+    """``pop {pc}`` of a lane-varying word cannot stay in lockstep."""
+    source = """
+        ldr r0, =0x20000000
+        ldr r1, [r0]        @ per-lane return address
+        push {r1}
+        pop {pc}
+    one:
+        movs r0, #1
+        bkpt #0
+    two:
+        movs r0, #2
+        bkpt #0
+    """
+    program = assemble(source)
+    targets = [program.symbols["one"] | 1, program.symbols["two"] | 1]
+    result = run_lanes(source, lane_words=[(t,) for t in targets])
+    assert not result.vectorized
+    assert "branch target varies" in result.bail_reason
+    assert [lane.checksum for lane in result.lanes] == [1, 2]
 
 
 class TestRunLanesValidation:

@@ -57,20 +57,20 @@ class TestISSInstrumentation:
     def test_tracing_does_not_change_results(self, clean_obs):
         """The differential gate: bit-identical run with obs on."""
         workload = get_workload("fib")
-        baseline = run_workload(workload, engine="fast")
+        baseline = run_workload(workload, engine="superblock")
         with obs.enabled_scope():
-            traced = run_workload(workload, engine="fast")
+            traced = run_workload(workload, engine="superblock")
         assert _result_tuple(traced) == _result_tuple(baseline)
 
     def test_run_span_and_metrics(self, clean_obs):
         workload = get_workload("fib")
         with obs.enabled_scope():
-            result = run_workload(workload, engine="fast")
+            result = run_workload(workload, engine="superblock")
         (span,) = [
             r for r in obs.get_tracer().spans if r.name == "iss.run"
         ]
         assert span.args["workload"] == "fib"
-        assert span.args["engine"] == "fast"
+        assert span.args["engine"] == "superblock"
         assert span.args["cycles"] == result.cycles
         assert span.args["instructions"] == result.instructions
 
@@ -84,14 +84,14 @@ class TestISSInstrumentation:
         }
         assert mix
         assert sum(mix.values()) == result.instructions
-        # The fast engine accounted every executed step somewhere.
+        # The engine accounted every executed step somewhere.
         assert (
-            snap["iss.fastpath.fast_steps"]
+            snap["iss.superblock.block_steps"]
             + snap["iss.fastpath.fallback_steps"]
         ) == result.instructions
 
     def test_disabled_records_nothing(self, clean_obs):
-        run_workload(get_workload("fib"), engine="fast")
+        run_workload(get_workload("fib"), engine="superblock")
         assert obs.get_tracer().spans == []
         # Registrations from other tests survive reset(); all that
         # matters is that the disabled run moved none of them.
@@ -103,7 +103,7 @@ class TestCacheCounters:
     def test_result_cache_hit_miss_counters(self, clean_obs, tmp_path):
         cache = ResultCache(root=tmp_path)
         workload = get_workload("fib")
-        result = run_workload(workload, engine="fast")
+        result = run_workload(workload, engine="superblock")
         with obs.enabled_scope():
             assert cache.get(workload, 500_000_000) is None
             cache.put(result, 500_000_000)

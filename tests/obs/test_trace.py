@@ -56,11 +56,11 @@ class TestSpanRecording:
 
     def test_set_attaches_attributes(self):
         tracer = Tracer(enabled=True)
-        with tracer.span("run", engine="fast") as sp:
+        with tracer.span("run", engine="superblock") as sp:
             sp.set(cycles=100, instructions=80)
         (record,) = tracer.spans
         assert record.args == {
-            "engine": "fast", "cycles": 100, "instructions": 80,
+            "engine": "superblock", "cycles": 100, "instructions": 80,
         }
 
     def test_span_ids_unique_and_increasing(self):

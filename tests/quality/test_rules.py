@@ -223,7 +223,7 @@ class TestRPL003CachePurity:
             import os
 
             def engine_choice():
-                return os.environ.get("REPRO_ISS_ENGINE", "auto")
+                return os.environ.get("REPRO_ENGINE", "auto")
             """,
             rules=["RPL003"],
         )
