@@ -68,6 +68,13 @@ class FET(abc.ABC):
             current = -self._ids_forward_per_um(vgs_n - vds_n, -vds_n)
         return sign * current * self.width_um
 
+    def conductances(self, vgs: float, vds: float, dv: float) -> Tuple[float, float]:
+        """(gm, gds) for MNA stamping: central differences of :meth:`ids`."""
+        ids = self.ids
+        gm = (ids(vgs + dv, vds) - ids(vgs - dv, vds)) / (2 * dv)
+        gds = (ids(vgs, vds + dv) - ids(vgs, vds - dv)) / (2 * dv)
+        return gm, gds
+
     # -- figures of merit --------------------------------------------------
     def on_current_a(self) -> float:
         """|I_ON|: full-on current at |VGS| = |VDS| = VDD."""
@@ -108,12 +115,6 @@ class FET(abc.ABC):
             raise ValueError("cannot extract SS: currents not exponential")
         decades = math.log10(i2 / i1)
         return (v_hi - v_lo) * 1000.0 / decades
-
-    def iv_curve(
-        self, vgs: float, vds_points: "list[float]"
-    ) -> "list[Tuple[float, float]]":
-        """(vds, ids) pairs at fixed vgs — for characterization plots."""
-        return [(vds, self.ids(vgs, vds)) for vds in vds_points]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

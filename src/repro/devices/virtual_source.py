@@ -96,6 +96,17 @@ class VSParameters:
         l_cm = self.l_gate_um * 1e-4
         return self.v_x0_cm_per_s * l_cm / self.mobility_cm2_per_vs
 
+    @cached_property
+    def ids_terms(self) -> "tuple[float, ...]":
+        """``_ids_forward_per_um``'s bias-independent terms, in its unpack
+        order; cached on the params, which V_T-shift Monte Carlo swaps on a
+        FET.  Reading the attributes per call makes ``FET.ids`` 1.7x slower."""
+        phi_t = self.phi_t
+        return (self.vt0_v, self.dibl_v_per_v, self.n_ss * phi_t,
+                self.c_inv_f_per_um2 * self.n_ss * phi_t, self.l_gate_um,
+                max(self.v_dsat_v, 1e-6), self.beta_sat, 1.0 / self.beta_sat,
+                self.v_x0_cm_per_s * 1e4, self.i_leak_floor_a_per_um, phi_t)
+
 
 class VirtualSourceFET(FET):
     """A FET instance: VS parameters + polarity + width."""
@@ -114,40 +125,24 @@ class VirtualSourceFET(FET):
     def vdd_v(self) -> float:
         return self.params.vdd_v
 
-    def _charge_per_um(self, vgs: float, vds: float) -> float:
-        """Virtual-source charge Q_ix0 (C/um) with DIBL."""
-        p = self.params
-        vt_eff = p.vt0_v - p.dibl_v_per_v * vds
-        eta = (vgs - vt_eff) / (p.n_ss * p.phi_t)
-        # Softplus, overflow-safe.
-        if eta > 40.0:
-            softplus = eta
-        else:
-            softplus = math.log1p(math.exp(eta))
-        q_per_um2 = p.c_inv_f_per_um2 * p.n_ss * p.phi_t * softplus
-        return q_per_um2 * p.l_gate_um
-
     def _ids_forward_per_um(self, vgs: float, vds: float) -> float:
-        p = self.params
         if vds == 0.0:  # repro-lint: disable=RPL004 - exact singular point
             return 0.0
-        vdsat = max(p.v_dsat_v, 1e-6)
+        (vt0, dibl, n_phi_t, c_n_phi_t, l_gate, vdsat, beta, inv_beta,
+         v_um_per_s, i_floor, phi_t) = self.params.ids_terms
         ratio = vds / vdsat
-        f_sat = ratio / (1.0 + ratio**p.beta_sat) ** (1.0 / p.beta_sat)
-        # Charge (C/um^2) * velocity (cm/s -> um/s) gives A/um.
-        q_per_um2 = self._charge_per_um(vgs, vds) / p.l_gate_um
-        v_um_per_s = p.v_x0_cm_per_s * 1e4
+        f_sat = ratio / (1.0 + ratio**beta) ** inv_beta
+        # Virtual-source charge with DIBL; softplus, overflow-safe.
+        eta = (vgs - (vt0 - dibl * vds)) / n_phi_t
+        softplus = eta if eta > 40.0 else math.log1p(math.exp(eta))
+        # Charge (C/um^2) * velocity (um/s) gives A/um.  "* l_gate / l_gate"
+        # is not a no-op in floating point; the SPICE goldens pin it.
+        q_per_um2 = c_n_phi_t * softplus * l_gate / l_gate
         intrinsic = q_per_um2 * v_um_per_s * f_sat
         # The leakage floor only matters in the off state; make it decay
         # smoothly so I(vds=0) remains 0.
-        floor = p.i_leak_floor_a_per_um * (1.0 - math.exp(-vds / p.phi_t))
+        floor = i_floor * (1.0 - math.exp(-vds / phi_t))
         return intrinsic + floor
 
     def gate_capacitance_f(self) -> float:
         return self.params.c_gate_f_per_um * self.width_um
-
-    def transconductance(self, vgs: float, vds: float, dv: float = 1e-4):
-        """(gm, gds) by central finite differences, for MNA stamping."""
-        gm = (self.ids(vgs + dv, vds) - self.ids(vgs - dv, vds)) / (2 * dv)
-        gds = (self.ids(vgs, vds + dv) - self.ids(vgs, vds - dv)) / (2 * dv)
-        return gm, gds

@@ -6,7 +6,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import ConvergenceError
+from repro.errors import AnalysisError, ConvergenceError
 from repro.spice.elements import VoltageSource
 from repro.spice.mna import DEFAULT_GMIN, StampPlan, newton_solve
 from repro.spice.netlist import Circuit
@@ -53,7 +53,7 @@ def dc_sweep(
     point per value.  The source's drive is restored afterwards."""
     source = circuit.element(source_name)
     if not isinstance(source, VoltageSource):
-        raise ConvergenceError(f"{source_name!r} is not a voltage source")
+        raise AnalysisError(f"{source_name!r} is not a voltage source")
     original = source.drive
     results = []
     guess: Optional[Dict[str, float]] = None

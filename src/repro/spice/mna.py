@@ -10,14 +10,16 @@ the FETs:
     jacobian = G + C/dt + d i_fet / dv
 
 DC analysis drops the ``C`` terms.  A node's residual is the sum of the
-currents flowing OUT of it; Newton drives every residual to zero.
+currents flowing OUT of it; Newton drives every residual to zero.  The
+two have separate methods: line-search trials need only the residual;
+the Jacobian (four more FET calls per device) is built only for a solve.
 Ground is a padded slot at index ``n``: the plan's arrays give it a row
-and a column, which assembly discards, so no stamp has to test for it.
+and a column, which both methods discard, so no stamp has to test for it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -37,6 +39,9 @@ DEFAULT_GMIN = 1e-12
 
 #: Newton damping: largest voltage change applied per iteration.
 MAX_NEWTON_STEP_V = 0.5
+
+#: Step scales tried by the Newton line search, largest first.
+LINE_SEARCH_SCALES = tuple(0.5**k for k in range(12))
 
 #: Voltage step of the central differences that give a FET's gm and gds.
 FET_DV = 1e-5
@@ -71,7 +76,7 @@ class StampPlan:
         c = np.zeros((n + 1, n + 1))
         self.voltage_sources = []  # (element, branch row)
         self.current_sources = []  # (element, from slot, to slot)
-        self.fets = []  # (bound FET.ids, drain, gate, source slots)
+        self.fets = []  # (FET, drain, gate, source slots)
         for e in circuit.elements:
             nodes = [slot[node] for node in e.nodes]
             if isinstance(e, Resistor):
@@ -97,7 +102,7 @@ class StampPlan:
                     c_half = e.fet.gate_capacitance_f() / 2.0
                     _stamp_pair(c, gate, d, c_half)
                     _stamp_pair(c, gate, s, c_half)
-                self.fets.append((e.fet.ids, d, gate, s))
+                self.fets.append((e.fet, d, gate, s))
             else:
                 raise NetlistError(
                     f"{circuit.name!r}: cannot compile {e.name!r} of type "
@@ -131,41 +136,42 @@ class StampPlan:
             s[b] -= i
         return s
 
-    def assemble(
+    def residual(
         self,
         v: np.ndarray,
         s: np.ndarray,
         dt: Optional[float],
         v_prev: Optional[np.ndarray],
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """(residual, jacobian) at ``v`` with source term ``s``; ``dt``
-        is None in DC."""
+    ) -> "tuple[np.ndarray, List[float]]":
+        """(residual at ``v`` with source term ``s``, node voltages plus
+        the ground slot for :meth:`jacobian`); ``dt`` is None in DC."""
         if dt is None:
             residual = self._g_rows @ v + s
-            jacobian = self._g.copy()
         else:
-            c_rows, g_c = self._companion(dt)
-            residual = self._g_rows @ v + c_rows @ (v - v_prev) + s
-            jacobian = g_c.copy()
+            residual = self._g_rows @ v + self._companion(dt)[0] @ (v - v_prev) + s
         volts = v.tolist()
         volts.append(0.0)  # the ground slot
-        for ids, d, g, s_ in self.fets:
-            vg, vs = volts[g], volts[s_]
-            vgs, vds = vg - vs, volts[d] - vs
-            i = ids(vgs, vds)
-            gm = (ids(vgs + FET_DV, vds) - ids(vgs - FET_DV, vds)) / (2 * FET_DV)
-            gds = (ids(vgs, vds + FET_DV) - ids(vgs, vds - FET_DV)) / (2 * FET_DV)
+        for fet, d, g, s_ in self.fets:
+            vs = volts[s_]
+            i = fet.ids(volts[g] - vs, volts[d] - vs)
             # The channel current flows d -> s inside the device.
             residual[d] += i
             residual[s_] -= i
+        return residual[: self.n], volts
+
+    def jacobian(self, volts: List[float], dt: Optional[float]) -> np.ndarray:
+        """d residual / d v at the node voltages :meth:`residual` returned."""
+        jacobian = (self._g if dt is None else self._companion(dt)[1]).copy()
+        for fet, d, g, s_ in self.fets:
+            vs = volts[s_]
+            gm, gds = fet.conductances(volts[g] - vs, volts[d] - vs, FET_DV)
             jacobian[d, g] += gm
             jacobian[d, d] += gds
             jacobian[d, s_] += -gm - gds
             jacobian[s_, g] -= gm
             jacobian[s_, d] -= gds
             jacobian[s_, s_] -= -gm - gds
-        n = self.n
-        return residual[:n], jacobian[:n, :n]
+        return jacobian[: self.n, : self.n]
 
     def set_nodes(self, v: np.ndarray, voltages: Dict[str, float]) -> None:
         """Write node -> voltage into ``v``, skipping ground and names
@@ -203,40 +209,36 @@ def newton_solve(
     """
     name = plan.circuit.name
     s = plan.sources(t, source_scale)
-    v = v0.copy()
-    residual, jacobian = plan.assemble(v, s, dt, v_prev)
+    v = v0
+    residual, volts = plan.residual(v, s, dt, v_prev)
     residual_norm = float(np.abs(residual).max())
     for _iteration in range(max_iterations):
         try:
-            delta = np.linalg.solve(jacobian, -residual)
+            delta = np.linalg.solve(plan.jacobian(volts, dt), -residual)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"{name!r}: singular Jacobian at t={t:g}") from exc
         # Damp large steps to keep exponential devices stable.  The cap
         # scales with the current solution magnitude so linear circuits
         # with large node voltages still converge geometrically.
-        step_cap = max(
-            MAX_NEWTON_STEP_V, 2.0 * float(np.abs(v).max()) if v.size else 0.0
-        )
-        max_step = np.abs(delta).max() if delta.size else 0.0
+        step_cap = max(MAX_NEWTON_STEP_V, 2.0 * float(np.abs(v).max()))
+        max_step = float(np.abs(delta).max())
         if max_step > step_cap:
-            delta *= step_cap / max_step
+            damping = step_cap / max_step
+            delta *= damping
+            max_step *= damping  # exactly max|delta|: rounding is monotone
         # Backtracking line search: stacked exponential devices make
         # full Newton steps oscillate; halve until the residual improves.
-        scale = 1.0
-        for _backtrack in range(12):
+        # When every trial is worse, the last one evaluated is taken.
+        for scale in LINE_SEARCH_SCALES:
             v_try = v + scale * delta
-            res_try, jac_try = plan.assemble(v_try, s, dt, v_prev)
-            norm_try = float(np.abs(res_try).max())
+            residual, volts = plan.residual(v_try, s, dt, v_prev)
+            norm_try = float(np.abs(residual).max())
             if norm_try <= residual_norm or norm_try < abstol:
                 break
-            scale *= 0.5
-        v = v + scale * delta
-        residual, jacobian = res_try, jac_try
-        applied = float(np.abs(scale * delta).max()) if delta.size else 0.0
-        converged_v = applied < vtol
-        converged_r = norm_try < abstol
+        v = v_try
         residual_norm = norm_try
-        if converged_v and converged_r:
+        # scale * max_step is max|scale * delta| exactly: scale is 2^-k.
+        if scale * max_step < vtol and norm_try < abstol:
             return v
     raise ConvergenceError(
         f"{name!r}: Newton failed to converge at t={t:g} "

@@ -8,6 +8,7 @@ warm-started from the previous solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -84,11 +85,11 @@ def transient(
         A :class:`TransientResult` with every node and source current
         sampled at every step.
     """
-    plan = StampPlan(circuit, gmin)
-    if dt <= 0 or t_stop <= 0:
-        raise AnalysisError("dt and t_stop must be positive")
+    if not (0 < dt < math.inf and 0 < t_stop < math.inf):
+        raise AnalysisError("dt and t_stop must be positive and finite")
     if dt > t_stop:
         raise AnalysisError("dt must not exceed t_stop")
+    plan = StampPlan(circuit, gmin)
 
     v = np.zeros(plan.n)
     if use_dc_start:

@@ -131,9 +131,15 @@ class TestFiguresOfMerit:
         )
 
     def test_transconductance_positive(self, nfet):
-        gm, gds = nfet.transconductance(0.7, 0.35)
+        gm, gds = nfet.conductances(0.7, 0.35, 1e-4)
         assert gm > 0
         assert gds > 0
+
+    def test_conductances_are_central_differences(self, pfet):
+        dv = 1e-5
+        gm, gds = pfet.conductances(-0.5, -0.3, dv)
+        assert gm == (pfet.ids(-0.5 + dv, -0.3) - pfet.ids(-0.5 - dv, -0.3)) / (2 * dv)
+        assert gds == (pfet.ids(-0.5, -0.3 + dv) - pfet.ids(-0.5, -0.3 - dv)) / (2 * dv)
 
     def test_vt_shift_reduces_leakage(self):
         low = si_nfet("a", 1.0, vt_shift_v=0.0)

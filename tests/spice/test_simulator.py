@@ -100,6 +100,11 @@ class TestDcAnalysis:
         # Drive restored.
         assert c.element("vin").drive.at(0.0) == 0.0
 
+    def test_dc_sweep_rejects_a_non_voltage_source(self):
+        c = _inverter(input_drive=Dc(0.0))
+        with pytest.raises(AnalysisError, match="not a voltage source"):
+            dc_sweep(c, "cl", [0.0, 0.7])
+
 
 def _inverter(input_drive, load_f=1e-15):
     c = Circuit("inv")
@@ -174,6 +179,27 @@ class TestTransient:
             transient(c, 1e-9, 0.0)
         with pytest.raises(AnalysisError):
             transient(c, 1e-9, 2e-9)
+
+    @pytest.mark.parametrize(
+        "t_stop, dt",
+        [
+            (1e-9, math.nan),
+            (math.nan, 1e-12),
+            (1e-9, math.inf),
+            (math.inf, 1e-12),
+            (-math.inf, 1e-12),
+        ],
+    )
+    def test_non_finite_timestep_rejected(self, t_stop, dt):
+        with pytest.raises(AnalysisError, match="finite"):
+            transient(_inverter(Dc(0.0)), t_stop, dt)
+
+    def test_time_window_checked_before_the_netlist(self):
+        # An empty circuit cannot compile; the window error comes first.
+        with pytest.raises(AnalysisError, match="finite"):
+            transient(Circuit("empty"), math.nan, 1e-12)
+        with pytest.raises(AnalysisError, match="positive"):
+            transient(Circuit("empty"), 1e-9, 0.0)
 
     def test_result_lookup_errors(self):
         c = _inverter(Dc(0.0))

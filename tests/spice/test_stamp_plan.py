@@ -19,7 +19,7 @@ from repro.spice import (
 )
 from repro.spice import dc as dc_module
 from repro.spice.elements import Element
-from repro.spice.mna import StampPlan
+from repro.spice.mna import LINE_SEARCH_SCALES, StampPlan, newton_solve
 
 
 def _every_element_kind() -> Circuit:
@@ -53,22 +53,68 @@ def test_jacobian_matches_its_residual(dt):
     s = plan.sources(0.3e-9)
 
     def residual(x):
-        return plan.assemble(x, s, dt, v_prev)[0].copy()
+        return plan.residual(x, s, dt, v_prev)[0].copy()
 
-    jacobian = plan.assemble(v, s, dt, v_prev)[1]
+    jacobian = plan.jacobian(plan.residual(v, s, dt, v_prev)[1], dt)
     numeric = _central_difference_jacobian(residual, v)
     np.testing.assert_allclose(jacobian, numeric, rtol=1e-4, atol=1e-9)
+
+
+def test_residual_returns_the_node_voltages_it_used():
+    plan = StampPlan(_every_element_kind(), gmin=1e-12)
+    v = np.random.default_rng(3).uniform(0.0, 0.7, plan.n)
+    _, volts = plan.residual(v, plan.sources(0.0), None, None)
+    # One entry per unknown, then the ground slot.
+    assert volts == v.tolist() + [0.0]
 
 
 def test_transient_adds_the_capacitor_companion():
     plan = StampPlan(_every_element_kind(), gmin=1e-12)
     dt = 1e-12
-    dc_jacobian = plan.assemble(np.zeros(plan.n), plan.sources(0.0), None, None)[1]
-    tr_jacobian = plan.assemble(np.zeros(plan.n), plan.sources(0.0), dt, np.zeros(plan.n))[1]
+    volts = [0.0] * (plan.n + 1)
+    dc_jacobian = plan.jacobian(volts, None)
+    tr_jacobian = plan.jacobian(volts, dt)
     out = plan.index["out"]
     # C_L plus the drain half of the PMOS gate cap.
     c_out = 1e-15 + si_pfet("p", 0.2).gate_capacitance_f() / 2
     assert tr_jacobian[out, out] - dc_jacobian[out, out] == pytest.approx(c_out / dt)
+
+
+class _WrongSignPlan:
+    """r(v) = v - 1 with a Jacobian of the wrong sign, so every Newton
+    step points uphill and each line search runs out of halvings."""
+
+    class circuit:
+        name = "wrong_sign"
+
+    def __init__(self):
+        self.residual_at = []
+        self.jacobian_at = []
+
+    def sources(self, t, scale=1.0):
+        return None
+
+    def residual(self, v, s, dt, v_prev):
+        self.residual_at.append(v.tolist())
+        return v - 1.0, v.tolist() + [0.0]
+
+    def jacobian(self, volts, dt):
+        self.jacobian_at.append(volts[:-1])
+        return -np.eye(1)
+
+
+def test_exhausted_line_search_accepts_the_last_evaluated_point():
+    plan = _WrongSignPlan()
+    with pytest.raises(ConvergenceError, match="after 2 iterations"):
+        newton_solve(plan, np.zeros(1), t=0.0, dt=None, v_prev=None, max_iterations=2)
+    trials = len(LINE_SEARCH_SCALES)
+    assert len(plan.residual_at) == 1 + 2 * trials
+    # The step is damped to 0.5 V; the last trial is 2^-11 of it.
+    last_trial = plan.residual_at[trials]
+    assert last_trial == [-0.5 * LINE_SEARCH_SCALES[-1]]
+    # The second iteration linearizes at that point and steps from it.
+    assert plan.jacobian_at == [[0.0], last_trial]
+    assert plan.residual_at[trials + 1] == [pytest.approx(last_trial[0] - 0.5)]
 
 
 def test_floating_voltage_source():
