@@ -40,14 +40,14 @@ class DieGeometry:
     notch_height_mm: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.die_height_mm <= 0 or self.die_width_mm <= 0:
-            raise PhysicalDesignError("die dimensions must be positive")
-        if self.scribe_mm < 0:
-            raise PhysicalDesignError("scribe spacing must be >= 0")
-        if self.wafer_diameter_mm <= 0:
-            raise PhysicalDesignError("wafer diameter must be positive")
-        if self.edge_clearance_mm < 0:
-            raise PhysicalDesignError("edge clearance must be >= 0")
+        # Written so that NaN fails each check (every comparison with NaN
+        # is False); the math.inf bound rejects infinities.
+        sizes = (self.die_height_mm, self.die_width_mm, self.wafer_diameter_mm)
+        if not all(0 < size < math.inf for size in sizes):
+            raise PhysicalDesignError(f"sizes must be finite and > 0: {sizes}")
+        gaps = (self.scribe_mm, self.edge_clearance_mm, self.notch_height_mm)
+        if not all(0 <= gap < math.inf for gap in gaps):
+            raise PhysicalDesignError(f"spacings must be finite and >= 0: {gaps}")
         usable = self.wafer_diameter_mm - self.edge_clearance_mm
         if usable <= max(self.pitch_height_mm, self.pitch_width_mm):
             raise PhysicalDesignError(

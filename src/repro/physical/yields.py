@@ -30,9 +30,9 @@ class YieldModel(abc.ABC):
         """Expected fraction of good dies for the given die area."""
 
     def _check_area(self, die_area_cm2: float) -> None:
-        if die_area_cm2 < 0:
+        if not (0 <= die_area_cm2 < math.inf):  # NaN fails both compares
             raise PhysicalDesignError(
-                f"die area must be >= 0, got {die_area_cm2}"
+                f"die area must be finite and >= 0, got {die_area_cm2}"
             )
 
 
@@ -62,8 +62,8 @@ class PoissonYield(YieldModel):
     defect_density_per_cm2: float
 
     def __post_init__(self) -> None:
-        if self.defect_density_per_cm2 < 0:
-            raise PhysicalDesignError("defect density must be >= 0")
+        if not (0 <= self.defect_density_per_cm2 < math.inf):
+            raise PhysicalDesignError("defect density must be finite and >= 0")
 
     def yield_fraction(self, die_area_cm2: float) -> float:
         self._check_area(die_area_cm2)
@@ -77,8 +77,8 @@ class MurphyYield(YieldModel):
     defect_density_per_cm2: float
 
     def __post_init__(self) -> None:
-        if self.defect_density_per_cm2 < 0:
-            raise PhysicalDesignError("defect density must be >= 0")
+        if not (0 <= self.defect_density_per_cm2 < math.inf):
+            raise PhysicalDesignError("defect density must be finite and >= 0")
 
     def yield_fraction(self, die_area_cm2: float) -> float:
         self._check_area(die_area_cm2)

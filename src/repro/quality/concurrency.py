@@ -283,9 +283,7 @@ def get_blocking_index(ctx) -> Tuple[BlockingIndex, ModuleInfo]:
 
     program = get_program(ctx)
     info = context_info(ctx, program)
-    extras = getattr(ctx.modules, "extras", None)
-    if extras is None:
-        return BlockingIndex(program), info
+    extras = ctx.modules.extras
     index = extras.get("concurrency.blocking_index")
     if index is None or index.program is not program:
         index = BlockingIndex(program)

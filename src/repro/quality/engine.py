@@ -1,7 +1,8 @@
 """The repro-lint engine: file walking, contexts, and reporting.
 
-The engine parses each target file once, builds a :class:`FileContext`
-(AST, raw lines, pragmas, package-relative path parts), and runs every
+The engine parses each target file once per run (imports of it reuse
+that tree), builds a :class:`FileContext` (AST, its nodes walked once,
+raw lines, pragmas, package-relative path parts), and runs every
 enabled rule over it.  Pragma suppression happens here — rules never
 see the pragma filter — and baseline matching happens once over the
 whole run so per-fingerprint counts are consumed globally.
@@ -26,7 +27,7 @@ _SKIP_DIR_NAMES = {"__pycache__", ".git", ".venv", "node_modules"}
 
 
 class _ModuleCache:
-    """Shared parse cache for cross-file rules (RPL005, RPL006).
+    """One lint run's parse cache, shared by linted and imported files.
 
     ``extras`` is a scratch dict for per-run cross-file state keyed by
     rule subsystem (the flow engine parks its :class:`~repro.quality.
@@ -34,18 +35,32 @@ class _ModuleCache:
     """
 
     def __init__(self) -> None:
-        self._trees: Dict[Path, Optional[ast.Module]] = {}
+        #: resolved path -> (source, tree); the tree is None if unparsable.
+        self._parsed: Dict[Path, Tuple[str, Optional[ast.Module]]] = {}
         self.extras: Dict[str, object] = {}
 
     def parse(self, path: Path) -> Optional[ast.Module]:
         path = path.resolve()
-        if path not in self._trees:
+        if path not in self._parsed:
             try:
-                source = path.read_text(encoding="utf-8")
-                self._trees[path] = ast.parse(source, filename=str(path))
+                self.parse_source(path.read_text(encoding="utf-8"), path)
             except (OSError, SyntaxError):
-                self._trees[path] = None
-        return self._trees[path]
+                self._parsed[path] = ("", None)
+        return self._parsed[path][1]
+
+    def parse_source(self, source: str, path: Path) -> ast.Module:
+        """The tree of ``source`` at ``path``, parsed once per run.
+
+        A file linted after an import parsed it reuses that tree, and
+        later imports reuse the linted file's.  Raises
+        :class:`SyntaxError` like :func:`ast.parse`.
+        """
+        path = path.resolve()
+        cached_source, tree = self._parsed.get(path, ("", None))
+        if tree is None or cached_source != source:
+            tree = ast.parse(source, filename=str(path))
+            self._parsed.setdefault(path, (source, tree))
+        return tree
 
 
 @dataclass
@@ -61,6 +76,13 @@ class FileContext:
     pragmas: PragmaMap
     package_root: Optional[Path] = None
     modules: _ModuleCache = field(default_factory=_ModuleCache)
+    #: Every node of ``tree`` in :func:`ast.walk` order, walked once.
+    nodes: List[ast.AST] = field(init=False, repr=False)
+    #: Analyses the rules share (flow and shape scopes), once per file.
+    analyses: Dict[str, object] = field(default_factory=dict, init=False)
+
+    def __post_init__(self) -> None:
+        self.nodes = list(ast.walk(self.tree))
 
     def load_module(
         self, module: Optional[str], level: int = 0
@@ -217,8 +239,9 @@ class LintEngine:
         path = Path(path)
         rel = rel_path if rel_path is not None else path.name
         lines = source.splitlines()
+        modules = modules if modules is not None else _ModuleCache()
         try:
-            tree = ast.parse(source, filename=str(path))
+            tree = modules.parse_source(source, path)
         except SyntaxError as exc:
             finding = Finding(
                 rule=PARSE_ERROR_RULE,
@@ -239,7 +262,7 @@ class LintEngine:
             tree=tree,
             pragmas=parse_pragmas(lines),
             package_root=find_package_root(path) if path.is_file() else None,
-            modules=modules if modules is not None else _ModuleCache(),
+            modules=modules,
         )
         findings: List[Finding] = []
         suppressed = 0

@@ -415,14 +415,10 @@ class Program:
 
 def get_program(ctx) -> Program:
     """The per-run :class:`Program`, cached on the engine's module cache."""
-    extras = getattr(ctx.modules, "extras", None)
-    if extras is None:
-        return Program(parse=ctx.modules.parse)
-    program = extras.get("flow.program")
-    if program is None:
-        program = Program(parse=ctx.modules.parse)
-        extras["flow.program"] = program
-    return program
+    extras = ctx.modules.extras
+    if "flow.program" not in extras:
+        extras["flow.program"] = Program(parse=ctx.modules.parse)
+    return extras["flow.program"]
 
 
 def context_info(ctx, program: Program) -> ModuleInfo:
@@ -1122,13 +1118,18 @@ def analyze_scopes(ctx) -> List[FunctionFlow]:
     """Analyze every scope of a file: module body + each function.
 
     The shared per-run :class:`Program` comes from the engine's module
-    cache, so cross-module summaries are computed once per lint run.
+    cache, so cross-module summaries are computed once per lint run;
+    the file's flows are computed once and cached on ``ctx``.
     """
+    flows = ctx.analyses.get("flow")
+    if flows is not None:
+        return flows
     program = get_program(ctx)
     info = context_info(ctx, program)
     analyzer = FlowAnalyzer(info, program)
     flows = [analyzer.analyze_module()]
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             flows.append(analyzer.analyze_function(node))
+    ctx.analyses["flow"] = flows
     return flows

@@ -48,16 +48,13 @@ class AsyncBlockingRule(Rule):
     summary = "no blocking calls inside async def without run_in_executor"
 
     def check(self, ctx) -> Iterator[Finding]:
-        has_async = any(
-            isinstance(node, ast.AsyncFunctionDef)
-            for node in ast.walk(ctx.tree)
-        )
-        if not has_async:
+        async_defs = [
+            node for node in ctx.nodes if isinstance(node, ast.AsyncFunctionDef)
+        ]
+        if not async_defs:
             return
         index, info = get_blocking_index(ctx)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.AsyncFunctionDef):
-                continue
+        for node in async_defs:
             awaited: Set[int] = set()
             calls = []
             for sub in walk_scope(node.body):

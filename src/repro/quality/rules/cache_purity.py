@@ -140,7 +140,7 @@ class CachePurityRule(Rule):
         if EXEMPT_COMPONENTS.intersection(ctx.parts[:-1]):
             return
         mutables = _module_level_mutables(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if not self._is_checked(ctx, node):

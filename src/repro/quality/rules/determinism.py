@@ -46,7 +46,7 @@ class DeterminismRule(Rule):
     def check(self, ctx) -> Iterator[Finding]:
         if EXEMPT_COMPONENTS.intersection(ctx.parts[:-1]):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             reason = classify_nondeterministic_call(node)

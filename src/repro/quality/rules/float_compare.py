@@ -51,7 +51,7 @@ class FloatEqualityRule(Rule):
     def check(self, ctx) -> Iterator[Finding]:
         if EXEMPT_COMPONENTS.intersection(ctx.parts[:-1]):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left] + list(node.comparators)

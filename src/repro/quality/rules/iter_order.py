@@ -34,7 +34,7 @@ disable=RPL012`` pragma saying why.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.quality.concurrency import walk_scope
 from repro.quality.dimensions import resolve_unit
@@ -49,6 +49,26 @@ _FS_CALLS = {
 _FS_METHODS = {"iterdir", "glob", "rglob"}
 
 _DICT_VIEWS = {"values", "keys", "items"}
+
+
+def _walk_with_statement(
+    body: Sequence[ast.stmt],
+) -> Iterator[Tuple[ast.AST, ast.stmt]]:
+    """Each node of a scope with its innermost enclosing statement.
+
+    Nested ``def`` bodies are their own scopes and are not entered;
+    lambda bodies are, since they hold no statements of their own.
+    """
+    stack: List[Tuple[ast.AST, ast.stmt]] = [(stmt, stmt) for stmt in body]
+    while stack:
+        node, stmt = stack.pop()
+        yield node, stmt
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for child in ast.iter_child_nodes(node):
+            stack.append(
+                (child, child if isinstance(child, ast.stmt) else stmt)
+            )
 
 
 def _set_like_names(nodes) -> Set[str]:
@@ -154,77 +174,76 @@ class IterOrderRule(Rule):
 
     def check(self, ctx) -> Iterator[Finding]:
         scopes = [ctx.tree.body]
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scopes.append(node.body)
         for body in scopes:
-            nodes = list(walk_scope(body))
-            set_names = _set_like_names(nodes)
-            for node in nodes:
-                if isinstance(node, ast.stmt):
-                    yield from self._check_stmt(ctx, node, set_names)
+            located = list(_walk_with_statement(body))
+            set_names = _set_like_names(node for node, _ in located)
+            for node, stmt in located:
+                if isinstance(node, ast.Call):
+                    yield from self._check_sum(ctx, node, stmt, set_names)
+                elif isinstance(node, (ast.For, ast.AsyncFor)):
+                    yield from self._check_loop(ctx, node, set_names)
 
     # ------------------------------------------------------------------
-    def _check_stmt(
+    def _check_sum(
+        self, ctx, node: ast.Call, stmt: ast.stmt, set_names: Set[str]
+    ) -> Iterator[Finding]:
+        """A ``sum(...)`` call site, checked in its innermost statement."""
+        name = dotted_name(node.func)
+        if name is None:
+            return
+        last = name.split(".")[-1]
+        if last != "sum" or not node.args:
+            return  # ``math.fsum`` is exact, hence order-independent
+        iterable = node.args[0]
+        element: Optional[ast.expr] = iterable
+        if isinstance(iterable, (ast.GeneratorExp, ast.ListComp)):
+            element = iterable.elt
+            iterable = iterable.generators[0].iter
+        reason = _nondet_reason(iterable, set_names)
+        if reason is None:
+            return
+        unit = _unit_mention(element) or _target_unit(stmt)
+        if unit is None and element is not iterable:
+            unit = _unit_mention(iterable)
+        if unit is None:
+            return
+        yield self.finding(
+            ctx,
+            node,
+            (
+                f"iteration-order nondeterminism: sum over {reason} "
+                f"feeds unit-carrying {unit}; float addition is not "
+                f"associative, so the result is not bit-stable — "
+                f"sort the iterable (sorted(...)) or use math.fsum"
+            ),
+        )
+
+    # ------------------------------------------------------------------
+    def _check_loop(
         self, ctx, stmt: ast.stmt, set_names: Set[str]
     ) -> Iterator[Finding]:
-        # ``sum(...)`` call sites anywhere in the statement's expressions.
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break  # nested scopes checked on their own
-            if not isinstance(node, ast.Call):
+        """``for x in <unordered>: acc += ...`` accumulation loops."""
+        reason = _nondet_reason(stmt.iter, set_names)
+        if reason is None:
+            return
+        for inner in walk_scope(stmt.body):
+            if not isinstance(inner, ast.AugAssign):
                 continue
-            name = dotted_name(node.func)
-            if name is None:
+            if not isinstance(inner.op, (ast.Add, ast.Sub)):
                 continue
-            last = name.split(".")[-1]
-            if last == "fsum":
-                continue  # math.fsum is exact, order-independent
-            if last != "sum" or not node.args:
-                continue
-            iterable = node.args[0]
-            element: Optional[ast.expr] = iterable
-            if isinstance(iterable, (ast.GeneratorExp, ast.ListComp)):
-                element = iterable.elt
-                iterable = iterable.generators[0].iter
-            reason = _nondet_reason(iterable, set_names)
-            if reason is None:
-                continue
-            unit = _unit_mention(element) or _target_unit(stmt)
-            if unit is None and element is not iterable:
-                unit = _unit_mention(iterable)
+            unit = _target_unit(inner) or _unit_mention(inner.value)
             if unit is None:
                 continue
             yield self.finding(
                 ctx,
-                node,
+                inner,
                 (
-                    f"iteration-order nondeterminism: sum over {reason} "
-                    f"feeds unit-carrying {unit}; float addition is not "
-                    f"associative, so the result is not bit-stable — "
-                    f"sort the iterable (sorted(...)) or use math.fsum"
+                    f"iteration-order nondeterminism: accumulation "
+                    f"over {reason} feeds unit-carrying {unit}; "
+                    f"iterate in sorted order to keep the sum "
+                    f"bit-stable"
                 ),
             )
-        # ``for x in <unordered>: acc += ...`` accumulation loops.
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            reason = _nondet_reason(stmt.iter, set_names)
-            if reason is None:
-                return
-            for inner in walk_scope(stmt.body):
-                if not isinstance(inner, ast.AugAssign):
-                    continue
-                if not isinstance(inner.op, (ast.Add, ast.Sub)):
-                    continue
-                unit = _target_unit(inner) or _unit_mention(inner.value)
-                if unit is None:
-                    continue
-                yield self.finding(
-                    ctx,
-                    inner,
-                    (
-                        f"iteration-order nondeterminism: accumulation "
-                        f"over {reason} feeds unit-carrying {unit}; "
-                        f"iterate in sorted order to keep the sum "
-                        f"bit-stable"
-                    ),
-                )

@@ -39,7 +39,7 @@ belongs to the caller's call site, where the same rule checks it.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Union
+from typing import Dict, Iterator, List, Optional, Set, Union
 
 from repro.quality.findings import Finding, Severity
 from repro.quality.rules.base import Rule, dotted_name, register
@@ -107,7 +107,7 @@ def _is_resource_call(node: ast.expr) -> bool:
 class _ModuleState:
     """Module-level defs plus the mutable/resource globals they may touch."""
 
-    def __init__(self, tree: ast.Module) -> None:
+    def __init__(self, tree: ast.Module, nodes: List[ast.AST]) -> None:
         self.functions: Dict[str, _FuncDef] = {}
         self.mutable_globals: Set[str] = set()
         self.resource_globals: Set[str] = set()
@@ -136,12 +136,12 @@ class _ModuleState:
         self.mutated_globals: Set[str] = {
             name
             for name in self.mutable_globals
-            if _is_mutated_somewhere(tree, name)
+            if _is_mutated_somewhere(nodes, name)
         }
 
 
-def _is_mutated_somewhere(tree: ast.Module, name: str) -> bool:
-    for node in ast.walk(tree):
+def _is_mutated_somewhere(nodes: List[ast.AST], name: str) -> bool:
+    for node in nodes:
         if isinstance(node, (ast.Global,)) and name in node.names:
             return True
         if isinstance(node, ast.Call) and isinstance(
@@ -178,11 +178,11 @@ class ParallelSafetyRule(Rule):
     summary = "process-pool callables must be top-level and share-nothing"
 
     def check(self, ctx) -> Iterator[Finding]:
-        state = _ModuleState(ctx.tree)
+        state = _ModuleState(ctx.tree, ctx.nodes)
         # Walk each scope, tracking local context needed to classify
         # the callable argument at each fan-out call site.
         yield from self._check_scope(ctx, state, ctx.tree.body, scope=None)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_scope(
                     ctx, state, node.body, scope=node

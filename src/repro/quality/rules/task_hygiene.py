@@ -80,7 +80,7 @@ class TaskHygieneRule(Rule):
         scopes: List[Tuple[str, List[ast.stmt]]] = [
             ("<module>", ctx.tree.body)
         ]
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scopes.append((node.name, node.body))
         for scope_name, body in scopes:

@@ -81,7 +81,7 @@ class UnitConsistencyRule(Rule):
     summary = "unit-suffix dimensional consistency"
 
     def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.BinOp) and isinstance(
                 node.op, (ast.Add, ast.Sub)
             ):

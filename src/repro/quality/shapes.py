@@ -346,14 +346,10 @@ def _first_hazard(
 
 def get_shape_program(ctx) -> ShapeProgram:
     """The per-run :class:`ShapeProgram`, cached on the module cache."""
-    extras = getattr(ctx.modules, "extras", None)
-    if extras is None:
-        return ShapeProgram(parse=ctx.modules.parse)
-    program = extras.get("shapes.program")
-    if program is None:
-        program = ShapeProgram(parse=ctx.modules.parse)
-        extras["shapes.program"] = program
-    return program
+    extras = ctx.modules.extras
+    if "shapes.program" not in extras:
+        extras["shapes.program"] = ShapeProgram(parse=ctx.modules.parse)
+    return extras["shapes.program"]
 
 
 # ---------------------------------------------------------------------------
@@ -900,26 +896,22 @@ def _aug_op(op: ast.operator) -> str:
 # Engine entry point
 # ---------------------------------------------------------------------------
 def analyze_shape_scopes(ctx) -> List[FunctionShapes]:
-    """Analyze every function scope of a file, cached per lint run.
+    """Analyze every function scope of a file, cached on ``ctx``.
 
-    Four rules consume the same streams, so the per-file analysis is
-    memoized on the engine's shared module cache (keyed by the module's
-    :class:`ModuleInfo` key) exactly once per process.
+    Four rules consume the same streams, so the per-file analysis runs
+    once per file.
     """
+    scopes = ctx.analyses.get("shapes")
+    if scopes is not None:
+        return scopes
     program = get_shape_program(ctx)
-    info = context_info(ctx, program)
-    extras = getattr(ctx.modules, "extras", None)
-    cache_key = f"shapes.scopes:{info.key}"
-    if extras is not None and cache_key in extras:
-        return extras[cache_key]
-    analyzer = ShapeAnalyzer(info, program)
+    analyzer = ShapeAnalyzer(context_info(ctx, program), program)
     scopes = [
         analyzer.analyze_function(node)
-        for node in ast.walk(ctx.tree)
+        for node in ctx.nodes
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
-    if extras is not None:
-        extras[cache_key] = scopes
+    ctx.analyses["shapes"] = scopes
     return scopes
 
 

@@ -2,19 +2,30 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import PhysicalDesignError
 from repro.physical.die import DieGeometry, dies_per_wafer
 from repro.physical.stdcells import VtFlavor, all_libraries
 from repro.physical.timing import TimingClosure
-from repro.physical.yields import FixedYield, MurphyYield, PoissonYield
+from repro.physical.yields import (
+    CompoundTierYield,
+    FixedYield,
+    MurphyYield,
+    PoissonYield,
+)
 
 die_dims = st.floats(min_value=0.1, max_value=20.0)
 defect_densities = st.floats(min_value=0.0, max_value=5.0)
 areas = st.floats(min_value=0.0, max_value=10.0)
 clocks = st.floats(min_value=5e7, max_value=2e9)
 fmax_fractions = st.floats(min_value=0.025, max_value=1.0)
+#: NaN, either infinity, or a finite negative number.
+out_of_domain = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
+    max_value=-1e-12, allow_infinity=False
+)
 
 
 class TestDieProperties:
@@ -73,6 +84,46 @@ class TestYieldProperties:
     @settings(max_examples=30, deadline=None)
     def test_fixed_yield_constant(self, value, area):
         assert FixedYield(value).yield_fraction(area) == value
+
+
+class TestInputDomain:
+    @given(
+        st.sampled_from(
+            [
+                "die_height_mm",
+                "die_width_mm",
+                "scribe_mm",
+                "wafer_diameter_mm",
+                "edge_clearance_mm",
+                "notch_height_mm",
+            ]
+        ),
+        out_of_domain,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_die_geometry_rejects_each_bad_field(self, field, value):
+        kwargs = {"die_height_mm": 1.0, "die_width_mm": 1.0, field: value}
+        with pytest.raises(PhysicalDesignError):
+            DieGeometry(**kwargs)
+
+    @given(out_of_domain)
+    @settings(max_examples=30, deadline=None)
+    def test_defect_densities_reject_bad_values(self, d0):
+        for model in (PoissonYield, MurphyYield):
+            with pytest.raises(PhysicalDesignError):
+                model(d0)
+
+    @given(defect_densities, out_of_domain)
+    @settings(max_examples=40, deadline=None)
+    def test_yield_models_reject_bad_areas(self, d0, area):
+        for model in (
+            PoissonYield(d0),
+            MurphyYield(d0),
+            FixedYield(0.9),
+            CompoundTierYield((PoissonYield(d0), MurphyYield(d0))),
+        ):
+            with pytest.raises(PhysicalDesignError):
+                model.yield_fraction(area)
 
 
 class TestTimingProperties:

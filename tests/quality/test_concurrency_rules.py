@@ -421,3 +421,30 @@ class TestRPL012IterOrder:
         )
         assert findings == []
         assert suppressed == 1
+
+    def test_nested_sum_reported_once_at_innermost_statement(self):
+        findings, _ = lint(
+            """
+            def total(parts, s):
+                for part in parts:
+                    if part:
+                        total = sum(e_j for e_j in s)
+                s = set(parts)
+            """,
+            rules=["RPL012"],
+        )
+        assert [(f.rule, f.line) for f in findings] == [("RPL012", 5)]
+
+    def test_sum_in_loop_header_with_nested_def_checked(self):
+        findings, _ = lint(
+            """
+            def total(parts):
+                costs = {p.cost for p in parts}
+                for k in range(int(sum(c_j for c_j in costs))):
+                    def helper():
+                        return k
+                return helper
+            """,
+            rules=["RPL012"],
+        )
+        assert [(f.rule, f.line) for f in findings] == [("RPL012", 4)]
