@@ -26,9 +26,23 @@ subcommand and writes the trace to ``--trace-out`` /
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
+
+
+def _non_negative_finite(text: str) -> float:
+    """argparse ``type=``: a finite float >= 0 (NaN and inf fail)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (0.0 <= value < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {text}"
+        )
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -699,9 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
             )
             sub.add_argument(
                 "--batch-window-ms",
-                type=float,
-                default=2.0,
-                help="coalescing window for concurrent point queries",
+                type=_non_negative_finite,
+                default=0.0,
+                help="wait this long for point queries to join a batch "
+                "(default 0: evaluate as soon as the batcher is free)",
             )
             sub.add_argument(
                 "--max-batch",

@@ -100,9 +100,10 @@ class ConstantCarbonIntensity(CarbonIntensity):
     name: str = ""
 
     def __post_init__(self) -> None:
-        if np.any(self.value_g_per_kwh < 0):
+        value = self.value_g_per_kwh
+        if not np.all((value >= 0) & np.isfinite(value)):  # NaN fails
             raise CarbonModelError(
-                f"carbon intensity must be >= 0, got {self.value_g_per_kwh}"
+                f"carbon intensity must be finite and >= 0, got {value}"
             )
 
     @classmethod

@@ -87,8 +87,11 @@ class OperationalPower:
 
     def __post_init__(self) -> None:
         for name in ("static_w", "core_dynamic_w", "memory_w"):
-            if np.any(getattr(self, name) < 0):
-                raise CarbonModelError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not np.all((value >= 0) & np.isfinite(value)):  # NaN fails
+                raise CarbonModelError(
+                    f"{name} must be finite and >= 0, got {value}"
+                )
 
     @property
     def total_w(self) -> float:

@@ -13,7 +13,7 @@ Modules:
 - :mod:`repro.serve.http` — minimal HTTP/1.1 framing over asyncio streams;
 - :mod:`repro.serve.model` — query validation + the two bit-equal
   evaluators (scalar oracle, batched tensor path);
-- :mod:`repro.serve.batcher` — window-based coalescing, 429 shedding;
+- :mod:`repro.serve.batcher` — work-conserving coalescing, 429 shedding;
 - :mod:`repro.serve.flight` — tail-sampled flight recorder (``/debugz``);
 - :mod:`repro.serve.server` — routes, obs integration, graceful drain;
 - :mod:`repro.serve.loadgen` — deterministic closed-loop load.

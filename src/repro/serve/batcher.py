@@ -1,12 +1,16 @@
-"""Window-based request coalescing for point queries.
+"""Work-conserving request coalescing for point queries.
 
 Concurrent ``POST /v1/tcdp`` requests land here as individual
-``(PointQuery, Future)`` pairs; the worker loop gathers everything that
-arrives within one batching window (or up to ``max_batch``) and hands
-the whole batch to a single tensor evaluation.  Because the batched
-evaluator is bit-identical to the scalar stack, coalescing is invisible
-to clients — it only changes how much numpy dispatch overhead each
-request amortizes.
+``(PointQuery, Future)`` pairs.  The worker wakes on the first
+submission, yields to the event loop once so requests submitted in the
+same turn can join, and hands everything queued (up to ``max_batch``)
+to a single tensor evaluation.  No timer holds a lone request back;
+requests that arrive while a batch evaluates form the next batch, so
+under load batches still grow with the arrival rate.  An optional
+``window_s`` instead waits a fixed time for stragglers.  Because the
+batched evaluator is bit-identical to the scalar stack, coalescing is
+invisible to clients — it only changes how much numpy dispatch
+overhead each request amortizes.
 
 Queue depth is bounded: when ``max_pending`` requests are already
 waiting, new submissions are shed immediately with
@@ -25,6 +29,7 @@ stamped into every access-log line), and ``serve.shed.total`` for 429s.
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Any, Awaitable, Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -50,8 +55,9 @@ class RequestBatcher:
             query) that is the right trade; a heavier model would hand
             off to a thread.
         window_s: how long the worker waits after the first item of a
-            batch for stragglers to join it.  ``0`` still coalesces
-            whatever is already queued when the worker wakes.
+            batch for stragglers to join it.  The default ``0`` is
+            work-conserving: it evaluates whatever is queued after one
+            event-loop turn.
         max_batch: hard cap on items per evaluator call.
         max_pending: queue-depth bound; beyond it submissions shed.
     """
@@ -59,12 +65,12 @@ class RequestBatcher:
     def __init__(
         self,
         evaluate: Callable[[Sequence[Any]], Sequence[Any]],
-        window_s: float = 0.002,
+        window_s: float = 0.0,
         max_batch: int = 128,
         max_pending: int = 1024,
     ) -> None:
-        if window_s < 0:
-            raise ValueError("window_s must be >= 0")
+        if not (0.0 <= window_s < math.inf):  # NaN fails too
+            raise ValueError(f"window_s must be finite and >= 0, got {window_s}")
         if max_batch < 1 or max_pending < 1:
             raise ValueError("max_batch and max_pending must be >= 1")
         self._evaluate = evaluate
@@ -137,10 +143,10 @@ class RequestBatcher:
                 if self._stopping:
                     return
                 continue
-            # First arrival opens the window; sleep(0) when the window
-            # is zero still yields once so concurrently-submitting
-            # coroutines get a chance to join the batch.  stop() ends
-            # the window early so drain never waits out a long window.
+            # With no window (the default), yield once so coroutines
+            # submitting in this turn join the batch, then evaluate.  A
+            # window opens on the first arrival; stop() ends it early so
+            # drain never waits out a long window.
             if not self._stopping:
                 if self.window_s == 0:
                     await asyncio.sleep(0)

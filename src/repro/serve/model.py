@@ -16,9 +16,10 @@ Two evaluators produce byte-identical responses:
   :func:`~repro.core.uncertainty.paper_perturbations`), exactly as a
   naive one-request-at-a-time server would;
 - :func:`evaluate_points_batched` — the coalesced tensor path: a whole
-  batch of concurrent queries evaluated as ``(scenarios, batch)``
-  arrays on :func:`~repro.core.uncertainty.batched_scenario_components`
-  and :func:`~repro.core.isoline.batched_ratio_points`, amortizing the
+  batch of concurrent queries evaluated as one
+  ``(scenarios, batch, 1 + months)`` tensor by one call each of
+  :func:`~repro.core.uncertainty.batched_scenario_components` and
+  :func:`~repro.core.isoline.batched_ratio_points`, amortizing the
   per-call dispatch cost the scalar stack pays per request.
 
 The float operations agree element for element (the same contract the
@@ -32,6 +33,7 @@ pins this differentially and the ``serve_mix`` workload of
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -81,13 +83,24 @@ class QueryError(ValueError):
     """A request payload that fails validation (served as HTTP 400)."""
 
 
+def _finite_number(value: Any, what: str) -> float:
+    """``value`` as a finite float; JSON's ``NaN``/``Infinity`` and
+    integers too large for a float are a :class:`QueryError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise QueryError(f"{what} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not (-math.inf < number < math.inf):  # NaN fails too
+        raise QueryError(f"{what} must be finite, got {value}")
+    return number
+
+
 def _require_number(
     payload: Dict[str, Any], key: str, default: float
 ) -> float:
-    value = payload.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise QueryError(f"{key!r} must be a number")
-    return float(value)
+    return _finite_number(payload.get(key, default), repr(key))
 
 
 @dataclass(frozen=True)
@@ -150,6 +163,8 @@ class PointQuery:
         op_scale = _require_number(payload, "op_scale", 1.0)
         if emb_scale < 0 or op_scale < 0:
             raise QueryError("emb_scale and op_scale must be >= 0")
+        if emb_scale == 0 and op_scale == 0:
+            raise QueryError("emb_scale and op_scale cannot both be 0")
         return cls(
             grid=grid,
             clock_mhz=clock_mhz,
@@ -269,14 +284,10 @@ class GridQuery:
                 raise QueryError(
                     f"{key} must have 1..{MAX_GRID_AXIS_POINTS} entries"
                 )
-            values = []
-            for v in spec:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise QueryError(f"{key} entries must be numbers")
-                if v < 0:
-                    raise QueryError(f"{key} entries must be >= 0")
-                values.append(float(v))
-            return tuple(values)
+            values = tuple(_finite_number(v, f"{key} entries") for v in spec)
+            if min(values) < 0:
+                raise QueryError(f"{key} entries must be >= 0")
+            return values
         raise QueryError(
             f"{key} must be a list of scales or "
             f"{{'start':..,'stop':..,'n':..}}"
@@ -401,11 +412,20 @@ class ModelContext:
 # ---------------------------------------------------------------------------
 #: The six Fig. 6b perturbations, shared by both evaluators.
 _PERTURBATIONS = paper_perturbations()
+_PERTURBATION_NAMES = tuple(pert.name for pert in _PERTURBATIONS)
 
 
 def _finite(value: float) -> Optional[float]:
     """A JSON-safe float: ``None`` where the model says NaN."""
     return None if np.isnan(value) else float(value)
+
+
+def _crossover(row: Sequence[float]) -> Optional[int]:
+    """The first axis month whose ratio is below 1, else ``None``."""
+    for month, month_ratio in zip(LIFETIME_AXIS_MONTHS, row):
+        if month_ratio < 1.0:
+            return int(month)
+    return None
 
 
 def _point_response(
@@ -416,38 +436,27 @@ def _point_response(
     base_emb: float,
     base_op: float,
     time_ratio: float,
-    ratio: float,
     iso_emb: float,
     iso_op: float,
-    pert_ratios: Sequence[float],
-    month_sheet: Sequence[Sequence[float]],
+    sheet: np.ndarray,
 ) -> Dict[str, Any]:
     """Assemble the response dict (field order fixed for byte equality).
 
-    ``month_sheet`` has one row per scenario — nominal first, then the
-    six paper perturbations — of tCDP ratios along the lifetime axis;
-    the envelope across rows is the Fig. 5 trajectory under Fig. 6b
-    uncertainty, and its crossings give the robust crossover window.
+    ``sheet`` is a ``(7, 1 + months)`` array of tCDP ratios, one row per
+    scenario — nominal first, then the six paper perturbations.  Column
+    0 is at the query's own lifetime; the other columns follow the
+    lifetime axis, and their envelope across rows is the Fig. 5
+    trajectory under Fig. 6b uncertainty, whose crossings give the
+    robust crossover window.
     """
+    at_query = sheet[:, 0]
+    months = sheet[:, 1:]
+    ratio = float(at_query[0])
+    month_ratios = months[0].tolist()
+    envelope_lo = months.min(axis=0).tolist()
+    envelope_hi = months.max(axis=0).tolist()
     cand_tcdp = (cand_emb + cand_op) * time_ratio
     base_tcdp = (base_emb + base_op) * 1.0
-    robustness = {
-        pert.name: float(r)
-        for pert, r in zip(_PERTURBATIONS, pert_ratios)
-    }
-    all_ratios = [ratio] + [float(r) for r in pert_ratios]
-    sheet = [[float(r) for r in row] for row in month_sheet]
-    month_ratios = sheet[0]
-    envelope_lo = [min(col) for col in zip(*sheet)]
-    envelope_hi = [max(col) for col in zip(*sheet)]
-
-    def _crossover(row: Sequence[float]) -> Optional[int]:
-        for month, month_ratio in zip(LIFETIME_AXIS_MONTHS, row):
-            if month_ratio < 1.0:
-                return int(month)
-        return None
-
-    crossover = _crossover(month_ratios)
     return {
         "schema": "ppatc-point/1",
         "query": {
@@ -469,24 +478,24 @@ def _point_response(
             "operational_g": float(base_op),
             "tcdp_gs": float(base_tcdp),
         },
-        "tcdp_ratio": float(ratio),
-        "candidate_wins": bool(ratio < 1.0),
-        "carbon_efficiency_advantage": float(1.0 / ratio),
+        "tcdp_ratio": ratio,
+        "candidate_wins": ratio < 1.0,
+        "carbon_efficiency_advantage": 1.0 / ratio,
         "isoline": {
             "emb_scale_at_query_op": _finite(iso_emb),
             "op_scale_at_query_emb": _finite(iso_op),
         },
         "robustness": {
-            "ratios": robustness,
-            "robust_win": bool(max(all_ratios) < 1.0),
-            "robust_loss": bool(min(all_ratios) >= 1.0),
+            "ratios": dict(zip(_PERTURBATION_NAMES, at_query[1:].tolist())),
+            "robust_win": bool(at_query.max() < 1.0),
+            "robust_loss": bool(at_query.min() >= 1.0),
         },
         "lifetime": {
-            "months": [float(m) for m in LIFETIME_AXIS_MONTHS],
+            "months": list(LIFETIME_AXIS_MONTHS),
             "tcdp_ratio_by_month": month_ratios,
             "envelope_lo": envelope_lo,
             "envelope_hi": envelope_hi,
-            "crossover_months": crossover,
+            "crossover_months": _crossover(month_ratios),
             "best_case_crossover_months": _crossover(envelope_lo),
             "worst_case_crossover_months": _crossover(envelope_hi),
         },
@@ -508,38 +517,23 @@ def evaluate_point_scalar(
     tmap = params.tradeoff_map()
     candidate = params.candidate_point()
     baseline = params.baseline_point()
-    ratio = tmap.ratio(query.emb_scale, query.op_scale)
-    iso_emb = tmap.isoline_emb_scale(query.op_scale)
-    iso_op = tmap.isoline_op_scale(query.emb_scale)
-    pert_ratios = [
-        pert.apply(params)
-        .tradeoff_map()
-        .ratio(query.emb_scale, query.op_scale)
-        for pert in _PERTURBATIONS
-    ]
-    # One Fig. 5 trajectory per scenario: set the lifetime to each axis
-    # month, then apply the perturbation to that month-scenario (so
-    # "lifetime +6 mo" asks what month m looks like if the lifetime
-    # estimate is 6 months optimistic).
-    month_params = [
+    # Column 0 is the query's own lifetime; then one Fig. 5 trajectory
+    # per scenario: set the lifetime to each axis month, then apply the
+    # perturbation to that month-scenario (so "lifetime +6 mo" asks what
+    # month m looks like if the lifetime estimate is 6 months optimistic).
+    columns = [params] + [
         replace(params, lifetime_months=month)
         for month in LIFETIME_AXIS_MONTHS
     ]
-    month_sheet = [
-        [
-            p.tradeoff_map().ratio(query.emb_scale, query.op_scale)
-            for p in month_params
-        ]
+    scenarios = [columns] + [
+        [pert.apply(p) for p in columns] for pert in _PERTURBATIONS
     ]
-    for pert in _PERTURBATIONS:
-        month_sheet.append(
-            [
-                pert.apply(p)
-                .tradeoff_map()
-                .ratio(query.emb_scale, query.op_scale)
-                for p in month_params
-            ]
-        )
+    sheet = np.array(
+        [
+            [p.tradeoff_map().ratio(query.emb_scale, query.op_scale) for p in row]
+            for row in scenarios
+        ]
+    )
     return _point_response(
         query,
         params.candidate_yield,
@@ -548,11 +542,9 @@ def evaluate_point_scalar(
         baseline.embodied_g,
         baseline.operational_g,
         base.execution_time_ratio,
-        ratio,
-        iso_emb,
-        iso_op,
-        pert_ratios,
-        month_sheet,
+        tmap.isoline_emb_scale(query.op_scale),
+        tmap.isoline_op_scale(query.emb_scale),
+        sheet,
     )
 
 
@@ -561,48 +553,67 @@ def evaluate_points_batched(
 ) -> List[Dict[str, Any]]:
     """Coalesced tensor path: N queries in one batched evaluation.
 
-    Builds ``(7, n)`` scenario arrays — nominal plus the six paper
-    perturbations — and one ``(n, months)`` lifetime sheet, then runs
+    Builds one ``(7, n, 1 + months)`` scenario tensor — nominal plus the
+    six paper perturbations, per query, at the query's own lifetime and
+    along the lifetime axis — and runs
     :func:`batched_scenario_components` / :func:`batched_ratio_points`
     once each.  Element-wise the float operations match the scalar
     stack, so responses are byte-identical to
     :func:`evaluate_point_scalar` regardless of batch size.
     """
-    n = len(queries)
     bases = [context.base(q.grid, q.clock_mhz) for q in queries]
-    lts = np.array([q.lifetime_months for q in queries])
-    cis = np.array([q.ci_use_scale for q in queries])
-    yields = np.array(
+    # One (fields, 1, n, 1) table; each field broadcasts over the
+    # scenario rows and the lifetime columns.
+    (
+        lts, cis, yields, xs, ys,
+        cand_wafer, cand_dies, cand_op_pm,
+        base_wafer, base_dies, base_yield, base_op_pm,
+        t_ratio,
+    ) = np.array(
         [
-            q.candidate_yield
-            if q.candidate_yield is not None
-            else b.candidate_yield
+            (
+                q.lifetime_months,
+                q.ci_use_scale,
+                b.candidate_yield
+                if q.candidate_yield is None
+                else q.candidate_yield,
+                q.emb_scale,
+                q.op_scale,
+                b.candidate_wafer_g,
+                b.candidate_dies_per_wafer,
+                b.candidate_op_per_month_g,
+                b.baseline_wafer_g,
+                b.baseline_dies_per_wafer,
+                b.baseline_yield,
+                b.baseline_op_per_month_g,
+                b.execution_time_ratio,
+            )
             for q, b in zip(queries, bases)
         ]
-    )
-    xs = np.array([q.emb_scale for q in queries])
-    ys = np.array([q.op_scale for q in queries])
-    cand_wafer = np.array([b.candidate_wafer_g for b in bases])
-    cand_dies = np.array([b.candidate_dies_per_wafer for b in bases])
-    cand_op_pm = np.array([b.candidate_op_per_month_g for b in bases])
-    base_wafer = np.array([b.baseline_wafer_g for b in bases])
-    base_dies = np.array([b.baseline_dies_per_wafer for b in bases])
-    base_yield = np.array([b.baseline_yield for b in bases])
-    base_op_pm = np.array([b.baseline_op_per_month_g for b in bases])
-    t_ratio = np.array([b.execution_time_ratio for b in bases])
+    ).T[:, None, :, None]
 
-    # Scenario sheet: row 0 nominal, rows 1..6 the paper perturbations
-    # in paper_perturbations() order (+6mo, -6mo, CIx3, CI/3, yield
-    # low/high) — the same transforms the scalar oracle applies.
-    ones = np.ones(n)
-    scen_lts = np.stack(
-        [lts, lts + 6.0, np.maximum(0.0, lts - 6.0), lts, lts, lts, lts]
+    # Column 0 is each query's own lifetime, columns 1.. the axis months.
+    # Rows: nominal, then the paper perturbations in paper_perturbations()
+    # order (+6mo, -6mo, CIx3, CI/3, yield low/high), applied per column
+    # exactly as the scalar oracle's pert.apply(...) does.
+    lifetimes = np.concatenate(
+        [
+            lts,
+            np.broadcast_to(
+                LIFETIME_AXIS_MONTHS,
+                lts.shape[:2] + (len(LIFETIME_AXIS_MONTHS),),
+            ),
+        ],
+        axis=2,
     )
-    scen_cis = np.stack(
-        [cis, cis, cis, cis * 3.0, cis / 3.0, cis, cis]
+    scen_lts = np.concatenate(
+        [lifetimes, lifetimes + 6.0, np.maximum(0.0, lifetimes - 6.0)]
+        + [lifetimes] * 4
     )
-    scen_yields = np.stack(
-        [yields, yields, yields, yields, yields, 0.10 * ones, 0.90 * ones]
+    scen_cis = np.concatenate([cis, cis, cis, cis * 3.0, cis / 3.0, cis, cis])
+    scen_yields = np.concatenate(
+        [yields] * 5
+        + [np.full_like(yields, 0.10), np.full_like(yields, 0.90)]
     )
     cand_emb, cand_op, base_emb, base_op = batched_scenario_components(
         cand_wafer,
@@ -621,80 +632,36 @@ def evaluate_points_batched(
         cand_emb, cand_op, t_ratio, base_tcdp, xs, ys
     )
 
-    # Isoline position (nominal scenario only), matching the scalar
-    # isoline_emb_scale / isoline_op_scale op order.
-    target = base_tcdp[0] / t_ratio
+    # Isoline position (nominal scenario at the query lifetime only),
+    # matching the scalar isoline_emb_scale / isoline_op_scale op order.
+    nominal_emb = cand_emb[0, :, 0]
+    nominal_op = cand_op[0, :, 0]
+    target = base_tcdp[0, :, 0] / t_ratio[0, :, 0]
     with np.errstate(invalid="ignore"):
-        iso_emb = (target - ys * cand_op[0]) / cand_emb[0]
+        iso_emb = (target - ys[0, :, 0] * nominal_op) / nominal_emb
     iso_emb = np.where(iso_emb >= 0, iso_emb, np.nan)
-    iso_op = (target - xs * cand_emb[0]) / cand_op[0]
+    iso_op = (target - xs[0, :, 0] * nominal_emb) / nominal_op
     iso_op = np.where(iso_op >= 0, iso_op, np.nan)
 
-    # Fig. 5 sheet under Fig. 6b uncertainty: every scenario row
-    # re-evaluated along the lifetime axis as one (7, n, months) tensor.
-    # Row 0 sets the lifetime to each axis month; rows 1..6 apply the
-    # perturbation to that month-scenario (lifetime shifts move along
-    # the axis, CI/yield perturbations transform in place) — mirroring
-    # the scalar path's pert.apply(replace(params, lifetime_months=m)).
-    months = np.array(LIFETIME_AXIS_MONTHS)[None, None, :]
-    sheet_lts = np.concatenate(
-        [
-            np.broadcast_to(months, (1, n, months.shape[2])),
-            np.broadcast_to(months + 6.0, (1, n, months.shape[2])),
-            np.broadcast_to(
-                np.maximum(0.0, months - 6.0), (1, n, months.shape[2])
-            ),
-            np.broadcast_to(months, (4, n, months.shape[2])),
-        ]
-    )
-    sheet_cis = np.stack(
-        [cis, cis, cis, cis * 3.0, cis / 3.0, cis, cis]
-    )[:, :, None]
-    sheet_yields = np.stack(
-        [yields, yields, yields, yields, yields, 0.10 * ones, 0.90 * ones]
-    )[:, :, None]
-    m_cand_emb, m_cand_op, m_base_emb, m_base_op = (
-        batched_scenario_components(
-            cand_wafer[None, :, None],
-            cand_dies[None, :, None],
-            sheet_yields,
-            cand_op_pm[None, :, None],
-            base_wafer[None, :, None],
-            base_dies[None, :, None],
-            base_yield[None, :, None],
-            base_op_pm[None, :, None],
-            sheet_lts,
-            sheet_cis,
-        )
-    )
-    month_sheets = batched_ratio_points(
-        m_cand_emb,
-        m_cand_op,
-        t_ratio[None, :, None],
-        (m_base_emb + m_base_op) * 1.0,
-        xs[None, :, None],
-        ys[None, :, None],
-    )
-
     return [
-        _point_response(
-            queries[i],
-            float(yields[i]),
-            float(cand_emb[0, i]),
-            float(cand_op[0, i]),
-            # Baseline embodied carbon is scenario-independent (the
-            # perturbations touch lifetime/CI/candidate yield only), so
-            # batched_scenario_components leaves it un-broadcast at (n,).
-            float(base_emb[i]),
-            float(base_op[0, i]),
-            float(t_ratio[i]),
-            float(ratios[0, i]),
-            float(iso_emb[i]),
-            float(iso_op[i]),
-            ratios[1:, i],
-            month_sheets[:, i, :],
+        _point_response(query, *scalars, sheet)
+        for query, scalars, sheet in zip(
+            queries,
+            zip(
+                yields[0, :, 0].tolist(),
+                nominal_emb.tolist(),
+                nominal_op.tolist(),
+                # Baseline embodied carbon is scenario-independent (the
+                # perturbations touch lifetime/CI/candidate yield only),
+                # so it stays un-broadcast at (1, n, 1).
+                base_emb[0, :, 0].tolist(),
+                base_op[0, :, 0].tolist(),
+                t_ratio[0, :, 0].tolist(),
+                iso_emb.tolist(),
+                iso_op.tolist(),
+            ),
+            ratios.transpose(1, 0, 2),
         )
-        for i in range(n)
     ]
 
 

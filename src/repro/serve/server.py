@@ -88,7 +88,7 @@ class ServerConfig:
     port: int = 8080  # 0 = ephemeral (the bound port is on PpatcServer)
     grids: Sequence[str] = SUPPORTED_GRIDS
     clock_mhz: float = 500.0
-    batch_window_s: float = 0.002
+    batch_window_s: float = 0.0  # 0 = work-conserving batching
     max_batch: int = 128
     max_pending: int = 1024
     access_log: Optional[str] = None  # JSON-lines path; None = stderr off

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,12 +16,17 @@ from repro.core.operational import (
     operational_carbon_g,
 )
 from repro.core.tcdp import tcdp
+from repro.errors import CarbonModelError
 
 powers = st.floats(min_value=1e-6, max_value=10.0)
 cis = st.floats(min_value=1.0, max_value=2000.0)
 months = st.floats(min_value=0.1, max_value=240.0)
 carbons = st.floats(min_value=1e-3, max_value=1e6)
 scales = st.floats(min_value=0.05, max_value=20.0)
+#: NaN, either infinity, or a finite negative number.
+out_of_domain = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
+    max_value=-1e-12, allow_infinity=False
+)
 
 
 class TestOperationalLinearity:
@@ -175,3 +181,35 @@ class TestEmbodiedProperties:
         si = EmbodiedCarbonModel(build_all_si_process()).evaluate(ci)
         m3d = EmbodiedCarbonModel(build_m3d_process()).evaluate(ci)
         assert m3d.per_wafer_g > si.per_wafer_g
+
+
+class TestInputDomain:
+    @given(
+        st.sampled_from(["static_w", "core_dynamic_w", "memory_w"]),
+        out_of_domain,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_operational_power_rejects_each_bad_field(self, field, value):
+        with pytest.raises(CarbonModelError):
+            OperationalPower(**{field: value})
+
+    @given(out_of_domain, powers)
+    @settings(max_examples=30, deadline=None)
+    def test_operational_power_rejects_bad_array_entries(self, value, good):
+        with pytest.raises(CarbonModelError):
+            OperationalPower(static_w=np.array([good, value]))
+
+    @given(out_of_domain)
+    @settings(max_examples=30, deadline=None)
+    def test_constant_carbon_intensity_rejects_bad_values(self, value):
+        with pytest.raises(CarbonModelError):
+            ConstantCarbonIntensity(value)
+
+    @given(powers, powers, powers, cis)
+    @settings(max_examples=30, deadline=None)
+    def test_in_domain_inputs_give_finite_power_and_intensity(
+        self, static, dynamic, memory, ci
+    ):
+        power = OperationalPower(static, dynamic, memory)
+        assert math.isfinite(power.total_w) and power.total_w >= 0
+        assert ConstantCarbonIntensity(ci).at(0.0) == ci

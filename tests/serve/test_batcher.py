@@ -22,12 +22,13 @@ class Recorder:
         return [item * 10 for item in items]
 
 
-def test_concurrent_submissions_coalesce_into_one_batch(clean_obs):
+def assert_same_turn_submissions_coalesce(window_s):
+    """Submissions made in one event-loop turn form one batch."""
     obs.enable(tracing=False, metrics=True)
     recorder = Recorder()
 
     async def run():
-        batcher = RequestBatcher(recorder, window_s=0.005, max_batch=64)
+        batcher = RequestBatcher(recorder, window_s=window_s, max_batch=64)
         batcher.start()
         results = await asyncio.gather(
             *[batcher.submit(i) for i in range(8)]
@@ -45,6 +46,35 @@ def test_concurrent_submissions_coalesce_into_one_batch(clean_obs):
     occupancy = metrics["histograms"]["serve.batch.occupancy"]
     assert occupancy["count"] == 1
     assert occupancy["mean"] == 8.0
+
+
+def test_concurrent_submissions_coalesce_into_one_batch(clean_obs):
+    assert_same_turn_submissions_coalesce(window_s=0.005)
+
+
+def test_concurrent_submissions_coalesce_without_a_window(clean_obs):
+    assert_same_turn_submissions_coalesce(window_s=0.0)
+
+
+def test_lone_submission_resolves_without_a_timer(clean_obs):
+    """The default batcher is work-conserving: a lone request is
+    evaluated within a few event-loop turns, not after a timer."""
+    recorder = Recorder()
+
+    async def run():
+        batcher = RequestBatcher(recorder)
+        batcher.start()
+        future = batcher.submit(7)
+        turns = 0
+        while not future.done() and turns < 4:
+            await asyncio.sleep(0)
+            turns += 1
+        done = future.done()
+        await batcher.stop()
+        return done, future.result()
+
+    assert asyncio.run(run()) == (True, 70)
+    assert recorder.batches == [[7]]
 
 
 def test_max_batch_splits_large_windows(clean_obs):
@@ -133,9 +163,13 @@ def test_evaluator_failure_propagates_to_all_waiters(clean_obs):
     assert len(recorder.batches) == 1
 
 
-def test_constructor_validation():
+@pytest.mark.parametrize("window_s", [-1.0, float("nan"), float("inf")])
+def test_constructor_rejects_bad_windows(window_s):
     with pytest.raises(ValueError):
-        RequestBatcher(lambda items: items, window_s=-1.0)
+        RequestBatcher(lambda items: items, window_s=window_s)
+
+
+def test_constructor_validation():
     with pytest.raises(ValueError):
         RequestBatcher(lambda items: items, max_batch=0)
     with pytest.raises(ValueError):

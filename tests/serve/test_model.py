@@ -72,6 +72,13 @@ def test_point_query_defaults():
         {"emb_scale": -0.1},
         {"clock_mhz": 5.0},
         {"clock_mhz": True},
+        {"emb_scale": float("nan")},
+        {"emb_scale": float("inf")},
+        {"op_scale": float("inf")},
+        {"op_scale": float("-inf")},
+        {"emb_scale": 10**400},
+        {"emb_scale": 0, "op_scale": 0},
+        {"emb_scale": 0.0, "op_scale": -0.0},
     ],
 )
 def test_point_query_rejects(payload):
@@ -106,6 +113,11 @@ def test_grid_query_axis_specs():
         {"mc_samples": 10**9},
         {"mc_seed": "x"},
         {"include_ratio_map": "yes"},
+        {"emb_scales": [0.5, float("nan")]},
+        {"op_scales": [float("inf")]},
+        {"op_scales": [10**400]},
+        {"emb_scales": {"start": 0.0, "stop": float("inf"), "n": 5}},
+        {"emb_scales": {"start": float("nan"), "stop": 1.0, "n": 5}},
     ],
 )
 def test_grid_query_rejects(payload):
@@ -121,11 +133,36 @@ def test_context_rejects_unknown_grid():
 # ---------------------------------------------------------------------------
 # Scalar vs batched bit-equality
 # ---------------------------------------------------------------------------
+def edge_queries():
+    """Inputs at the edges of the batched tensor: lifetimes where the
+    -6 month perturbation clips at 0, yield 1, one scale at 0, every
+    grid, and duplicates within one batch."""
+    queries = []
+    for grid in ("us", "coal", "solar", "taiwan"):
+        for lifetime in (0.25, 3.0, 5.999, 6.0, 6.5):
+            for emb, op in ((1.0, 1.0), (0.0, 1.3), (0.7, 0.0)):
+                queries.append(
+                    PointQuery.from_payload(
+                        {
+                            "grid": grid,
+                            "lifetime_months": lifetime,
+                            "emb_scale": emb,
+                            "op_scale": op,
+                        }
+                    )
+                )
+        queries.append(
+            PointQuery.from_payload({"grid": grid, "candidate_yield": 1.0})
+        )
+    return queries + queries[:5]
+
+
 @pytest.mark.smoke
 def test_batched_matches_scalar_bit_for_bit(warm_context):
-    queries = random_queries(seed=101, n=48)
+    queries = random_queries(seed=101, n=48) + edge_queries()
     scalar = [evaluate_point_scalar(warm_context, q) for q in queries]
     batched = evaluate_points_batched(warm_context, queries)
+    assert len(batched) == len(queries)
     for expected, got in zip(scalar, batched):
         assert canonical(expected) == canonical(got)
 

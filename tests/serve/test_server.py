@@ -137,6 +137,61 @@ def test_error_statuses():
     assert results["unwarmed_ok"][0] == 200
 
 
+def test_degenerate_query_fails_alone_in_a_coalesced_batch():
+    """A query the model cannot answer (both scales 0: ratio 0) is a
+    400 of its own; the valid queries riding the same batch get 200s."""
+
+    async def run():
+        server = PpatcServer(
+            ServerConfig(batch_window_s=0.05, **TEST_CONFIG)
+        )
+        await server.start()
+        try:
+            outcomes = await asyncio.gather(
+                post_json(server.port, {}),
+                post_json(server.port, {"emb_scale": 0, "op_scale": 0}),
+                post_json(server.port, {"op_scale": 0.5}),
+            )
+        finally:
+            await server.stop()
+        return outcomes
+
+    (ok, ok_status), (bad, bad_status), (ok2, ok2_status) = [
+        (body, status) for status, body in asyncio.run(run())
+    ]
+    assert (ok_status, bad_status, ok2_status) == (200, 400, 200)
+    assert ok["schema"] == ok2["schema"] == "ppatc-point/1"
+    assert "emb_scale" in bad["error"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"emb_scale": float("nan")},
+        {"op_scale": float("inf")},
+        {"grid": "us", "emb_scales": [0.5, float("nan")]},
+        {"emb_scales": {"start": 0.0, "stop": float("inf"), "n": 4}},
+    ],
+)
+def test_non_finite_json_numbers_are_rejected(payload):
+    """Python's json reads NaN / Infinity tokens; the server must answer
+    400 rather than echo them into a response."""
+    target = "/v1/grid" if "emb_scales" in payload else "/v1/tcdp"
+
+    async def run():
+        server = PpatcServer(ServerConfig(**TEST_CONFIG))
+        await server.start()
+        try:
+            # json.dumps writes NaN / Infinity tokens for these floats.
+            return await post_json(server.port, payload, target=target)
+        finally:
+            await server.stop()
+
+    status, body = asyncio.run(run())
+    assert status == 400
+    assert "finite" in body["error"]
+
+
 def test_grid_endpoint():
     async def run():
         server = PpatcServer(ServerConfig(**TEST_CONFIG))

@@ -24,6 +24,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["table2", "--grid", "mars"])
 
+    @pytest.mark.parametrize("window_ms", ["-1", "nan", "inf", "soon"])
+    def test_serve_rejects_bad_batch_window(self, window_ms, capsys):
+        # A usage error (exit 2) before any server starts, not a traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--batch-window-ms", window_ms])
+        assert exc.value.code == 2
+        assert "--batch-window-ms" in capsys.readouterr().err
+
+    def test_serve_batch_window_defaults_to_zero(self):
+        args = build_parser().parse_args(["serve"])
+        assert args.batch_window_ms == 0.0
+
 
 class TestCommands:
     def test_table1(self, capsys):
