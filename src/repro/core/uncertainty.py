@@ -182,14 +182,6 @@ def paper_perturbations(
     ]
 
 
-def _perturbed_ratio_grid(
-    payload: Tuple[ScenarioParameters, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Worker-side ratio grid for one perturbed scenario (picklable)."""
-    params, emb_scales, op_scales = payload
-    return params.tradeoff_map().ratio_grid(emb_scales, op_scales)
-
-
 class IsolineUncertaintyAnalysis:
     """Family of tCDP isolines under parameter perturbations (Fig. 6b)."""
 
@@ -229,7 +221,6 @@ class IsolineUncertaintyAnalysis:
         self,
         emb_scales: np.ndarray,
         op_scales: np.ndarray,
-        jobs: Optional[int] = 1,
     ) -> Dict[str, np.ndarray]:
         """Boolean masks over the (y, x) grid.
 
@@ -238,28 +229,14 @@ class IsolineUncertaintyAnalysis:
         everywhere; the rest is the uncertain band.  These are the
         "regions in which the M3D design maintains better tCDP vs. the
         all-Si design (and vice versa)" of Sec. III-D.
-
-        ``jobs`` fans the perturbation family out over the runtime
-        process pool (``1`` = serial in-process, ``None`` = one worker
-        per CPU); the result is identical either way.
         """
         x = np.asarray(emb_scales, dtype=float)
         y = np.asarray(op_scales, dtype=float)
         nominal_grid = self._nominal_map.ratio_grid(x, y)
-        if jobs == 1 or len(self.perturbations) <= 1:
-            perturbed = [
-                params.tradeoff_map().ratio_grid(x, y)
-                for params in self._perturbed_parameters()
-            ]
-        else:
-            from repro.runtime.parallel import map_parallel
-
-            perturbed = map_parallel(
-                _perturbed_ratio_grid,
-                [(params, x, y) for params in self._perturbed_parameters()],
-                jobs=jobs,
-                label="uncertainty.perturbation",
-            )
+        perturbed = [
+            params.tradeoff_map().ratio_grid(x, y)
+            for params in self._perturbed_parameters()
+        ]
         ratios = np.stack([nominal_grid] + perturbed, axis=0)
         candidate_always = np.all(ratios < 1.0, axis=0)
         baseline_always = np.all(ratios >= 1.0, axis=0)

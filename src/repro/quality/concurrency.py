@@ -14,14 +14,15 @@ static machinery the concurrency rules build on:
   :class:`~repro.runtime.cache.ResultCache`-shaped receivers (any
   receiver whose final component names a cache).
 
-- **Transitive reach.**  :class:`BlockingIndex` reuses the flow
-  engine's cross-module machinery (:class:`~repro.quality.flow.Program`
-  / :class:`~repro.quality.flow.ModuleInfo`, same ``MAX_CALL_DEPTH``
-  recursion budget) to follow a call from an ``async def`` through
-  module-level and imported sync helpers: if anything reachable within
-  the budget blocks — or the call lands in the heavy ``repro.core`` /
-  ``repro.cpu`` compute packages — the chain of call sites comes back
-  as a witness (:class:`BlockingWitness`), most-shallow step first.
+- **Transitive reach.**  :func:`blocking_witness` is a per-function
+  summary on the lint run's one :class:`~repro.quality.flow.Program`
+  (its callee resolver and memo, same ``MAX_CALL_DEPTH`` recursion
+  budget as return units).  It follows a call from an ``async def``
+  through module-level and imported sync helpers: if anything
+  reachable within the budget blocks — or the call lands in the heavy
+  ``repro.core`` / ``repro.cpu`` compute packages — the chain of call
+  sites comes back as a witness (:class:`BlockingWitness`),
+  most-shallow step first.
 
 - **Lock-discipline inference.**  :func:`analyze_lock_discipline`
   builds, per class owning a lock attribute (``self._lock =
@@ -29,28 +30,26 @@ static machinery the concurrency rules build on:
   written under ``with self._lock:`` versus outside it — the raw
   material for RPL011's both-ways findings.
 
-- **Scope walking.**  :func:`walk_scope` yields a function body's nodes
-  without descending into nested ``def``/``lambda`` scopes (the same
-  discipline RPL008 uses), so every rule anchors findings to the scope
-  that owns them.
+- **Scope walking.**  :func:`~repro.quality.flow.walk_scope` (imported
+  here for the rules) yields a function body's nodes without
+  descending into nested ``def``/``lambda`` scopes, so every rule
+  anchors findings to the scope that owns them.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.quality.flow import (
     MAX_CALL_DEPTH,
-    ImportedSymbol,
     ModuleInfo,
     Program,
-    context_info,
+    _FuncDef,
+    walk_scope,
 )
 from repro.quality.rules.base import dotted_name
-
-_FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: Dotted call names that block the calling thread outright.
 BLOCKING_CALLS: Dict[str, str] = {
@@ -132,7 +131,7 @@ def classify_blocking_call(call: ast.Call) -> Optional[str]:
     """A human-readable reason if this call blocks the calling thread.
 
     Only *directly* blocking shapes are recognized here; transitive
-    reach through callees is :class:`BlockingIndex`'s job.
+    reach through callees is :func:`blocking_witness`'s job.
     """
     name = dotted_name(call.func)
     if name is not None:
@@ -174,137 +173,50 @@ def _module_heavy_reason(info: ModuleInfo) -> Optional[str]:
     return None
 
 
-class BlockingIndex:
-    """Memoized transitive blocking summaries over one lint run.
-
-    Shares the flow engine's :class:`~repro.quality.flow.Program` so
-    module parsing and import resolution are paid once per run; the
-    per-function blocking witness is memoized on ``(module key, name)``
-    with a cycle guard, exactly like return-unit inference.
-    """
-
-    def __init__(self, program: Program) -> None:
-        self.program = program
-        self._memo: Dict[
-            Tuple[str, str], Optional[BlockingWitness]
-        ] = {}
-
-    # ------------------------------------------------------------------
-    def witness_for_call(
-        self, call: ast.Call, info: ModuleInfo, depth: int = 0
-    ) -> Optional[BlockingWitness]:
-        """Why this call site (transitively) blocks, if it does."""
-        direct = classify_blocking_call(call)
-        if direct is not None:
-            return BlockingWitness(reason=direct)
-        target = self._resolve_callee(call, info)
-        if target is None:
-            return None
-        callee_info, callee_name, func = target
-        if isinstance(func, ast.AsyncFunctionDef):
-            return None  # calling an async def yields a coroutine; the
-            # missing-await case is RPL010's, not a blocking hazard.
-        heavy = _module_heavy_reason(callee_info)
-        if heavy is not None and callee_info.key != info.key:
-            return BlockingWitness(
-                reason=heavy,
-                chain=(f"calls {callee_name}() [line {call.lineno}]",),
-            )
-        if depth >= MAX_CALL_DEPTH:
-            return None
-        inner = self._witness_for_function(callee_info, callee_name, depth + 1)
-        if inner is None:
-            return None
-        return BlockingWitness(
-            reason=inner.reason,
-            chain=(f"calls {callee_name}() [line {call.lineno}]",)
-            + inner.chain,
-        )
-
-    # ------------------------------------------------------------------
-    def _witness_for_function(
-        self, info: ModuleInfo, func_name: str, depth: int
-    ) -> Optional[BlockingWitness]:
-        memo_key = (info.key, func_name)
-        if memo_key in self._memo:
-            return self._memo[memo_key]
-        self._memo[memo_key] = None  # cycle guard
-        func = info.functions.get(func_name)
-        witness: Optional[BlockingWitness] = None
-        if func is not None and not isinstance(func, ast.AsyncFunctionDef):
-            for node in walk_scope(func.body):
-                if not isinstance(node, ast.Call):
-                    continue
-                witness = self.witness_for_call(node, info, depth)
-                if witness is not None:
-                    break
-        self._memo[memo_key] = witness
-        return witness
-
-    # ------------------------------------------------------------------
-    def _resolve_callee(
-        self, call: ast.Call, info: ModuleInfo
-    ) -> Optional[Tuple[ModuleInfo, str, Optional[_FuncDef]]]:
-        """``(owning module, function name, def)`` for a resolvable call."""
-        func = call.func
-        if isinstance(func, ast.Name):
-            if func.id in info.functions:
-                return info, func.id, info.functions[func.id]
-            symbol = info.imports.get(func.id)
-            if symbol is not None:
-                return self._resolve_import(info, symbol)
-            return None
-        if isinstance(func, ast.Attribute) and isinstance(
-            func.value, ast.Name
-        ):
-            dotted = info.module_aliases.get(func.value.id)
-            if dotted is not None:
-                target = self.program.load_module(info, dotted, 0)
-                if target is not None:
-                    return target, func.attr, target.functions.get(func.attr)
+def blocking_witness(
+    program: Program, call: ast.Call, info: ModuleInfo, depth: int = 0
+) -> Optional[BlockingWitness]:
+    """Why this call site (transitively) blocks, if it does."""
+    direct = classify_blocking_call(call)
+    if direct is not None:
+        return BlockingWitness(reason=direct)
+    target = program.resolve(info, call.func)
+    if target is None:
         return None
-
-    def _resolve_import(
-        self, info: ModuleInfo, symbol: ImportedSymbol
-    ) -> Optional[Tuple[ModuleInfo, str, Optional[_FuncDef]]]:
-        target = self.program.load_module(info, symbol.module, symbol.level)
-        if target is None:
-            return None
-        return target, symbol.original, target.functions.get(symbol.original)
-
-
-def get_blocking_index(ctx) -> Tuple[BlockingIndex, ModuleInfo]:
-    """The per-run :class:`BlockingIndex` plus this file's module info.
-
-    Parked on the engine's shared module-cache ``extras`` (alongside the
-    flow program) so repo-wide runs build each summary once.
-    """
-    from repro.quality.flow import get_program
-
-    program = get_program(ctx)
-    info = context_info(ctx, program)
-    extras = ctx.modules.extras
-    index = extras.get("concurrency.blocking_index")
-    if index is None or index.program is not program:
-        index = BlockingIndex(program)
-        extras["concurrency.blocking_index"] = index
-    return index, info
+    callee_info, callee_name = target
+    if isinstance(callee_info.functions.get(callee_name), ast.AsyncFunctionDef):
+        return None  # calling an async def yields a coroutine; the
+        # missing-await case is RPL010's, not a blocking hazard.
+    step = f"calls {callee_name}() [line {call.lineno}]"
+    heavy = _module_heavy_reason(callee_info)
+    if heavy is not None and callee_info.key != info.key:
+        return BlockingWitness(reason=heavy, chain=(step,))
+    if depth >= MAX_CALL_DEPTH:
+        return None
+    inner = program.summary(
+        "blocking",
+        callee_info,
+        callee_name,
+        lambda: _function_witness(program, callee_info, callee_name, depth + 1),
+    )
+    if inner is None:
+        return None
+    return BlockingWitness(reason=inner.reason, chain=(step,) + inner.chain)
 
 
-# ---------------------------------------------------------------------------
-# Scope walking
-# ---------------------------------------------------------------------------
-def walk_scope(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
-    """All nodes of a scope without entering nested def/lambda bodies."""
-    stack: List[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
+def _function_witness(
+    program: Program, info: ModuleInfo, func_name: str, depth: int
+) -> Optional[BlockingWitness]:
+    """The first blocking call in a sync function's own body."""
+    func = info.functions.get(func_name)
+    if func is None or isinstance(func, ast.AsyncFunctionDef):
+        return None
+    for node in walk_scope(func.body):
+        if isinstance(node, ast.Call):
+            witness = blocking_witness(program, node, info, depth)
+            if witness is not None:
+                return witness
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +225,8 @@ def walk_scope(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
 #: Constructors recognized as lock objects.
 LOCK_FACTORIES = frozenset({"Lock", "RLock", "Condition", "Semaphore"})
 
-#: Method names that mutate their receiver in place (shared with
-#: RPL008's module-global analysis, restated here for ``self.X`` use).
+#: Method names that mutate their receiver in place (``self.X`` here,
+#: module-level globals in RPL008).
 MUTATING_METHODS = frozenset(
     {
         "append",

@@ -12,14 +12,19 @@ instead of names:
   is the lattice top (nothing known); joining incompatible units at a
   control-flow merge drops back to ``None``.
 
-- **Intraprocedural abstract interpretation.**  :class:`FlowAnalyzer`
-  walks a function body in program order with an environment mapping
-  local names to lattice values.  Assignments, augmented assignments,
-  tuple unpacking, and arithmetic propagate units; ``if``/``try``
-  branches are walked on environment copies and joined; units are
-  seeded from suffixed names (params and locals), from literals scaled
-  by :mod:`repro.units` constants (``3 * units.KWH`` is an energy in
-  joules), and from call-site return units.
+- **Intraprocedural abstract interpretation.**  :class:`ScopeWalker`
+  walks a scope in program order with an environment mapping local
+  names to lattice values: ``if``/``try`` branches are walked on
+  environment copies and joined, loops are joined with their entry
+  state, tuple unpacking is split per target, and ``global``/
+  ``nonlocal`` names leave the environment.  The walker is
+  lattice-parametric.  :class:`FlowAnalyzer` supplies the unit lattice
+  (a must-join) and its transfer function, and
+  :class:`repro.quality.shapes.ShapeAnalyzer` supplies the broadcast
+  shape lattice (a may-union).  Units are seeded from suffixed names
+  (params and locals), from literals scaled by :mod:`repro.units`
+  constants (``3 * units.KWH`` is an energy in joules), and from
+  call-site return units.
 
 - **Conversion algebra.**  Multiplying or dividing by a
   :mod:`repro.units` constant rescales within a dimension
@@ -30,11 +35,15 @@ instead of names:
   (power x time -> energy, energy / time -> power, mass / area ->
   a per-area rate).
 
-- **Interprocedural call graph.**  :class:`Program` memoizes per-module
-  :class:`ModuleInfo` and per-function return units, resolving
-  ``from repro.x import f`` imports through the same on-disk package
-  walk RPL005 uses, so ``total_j = source_energy_j(...) + standby_kwh``
-  is checked even when ``source_energy_j`` lives two modules away.
+- **Interprocedural call graph.**  One :class:`Program` per lint run
+  holds one :class:`ModuleInfo` per module, resolves callees
+  (``from repro.x import f`` and ``import m as alias``) through the same
+  on-disk package walk RPL005 uses, and memoizes per-function
+  summaries with a cycle guard.  Three summaries share it: return
+  units here (so ``total_j = source_energy_j(...) + standby_kwh`` is
+  checked even when ``source_energy_j`` lives two modules away),
+  vectorization capabilities in :mod:`repro.quality.shapes` and
+  blocking witnesses in :mod:`repro.quality.concurrency`.
 
 Rules RPL006 (inferred-unit mismatch) and RPL007 (lossy rebinding) in
 :mod:`repro.quality.rules.flow_units` consume the recorded
@@ -46,7 +55,18 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from repro.quality.dimensions import (
     CONSTANT_TABLE,
@@ -63,6 +83,8 @@ MAX_CALL_DEPTH = 3
 #: Witness chains are capped at this many rendered steps.
 MAX_CHAIN_STEPS = 4
 
+_S = TypeVar("_S")
+
 
 # ---------------------------------------------------------------------------
 # Lattice values
@@ -76,6 +98,14 @@ class Step:
 
     def render(self) -> str:
         return f"{self.note} [line {self.line}]"
+
+
+def render_chain(chain: Sequence[Step]) -> str:
+    """A witness chain as text, most recent step first, capped."""
+    steps = " <- ".join(step.render() for step in chain[:MAX_CHAIN_STEPS])
+    if len(chain) > MAX_CHAIN_STEPS:
+        steps += " <- ..."
+    return steps
 
 
 @dataclass(frozen=True)
@@ -116,11 +146,7 @@ class Inferred:
 
     def describe(self) -> str:
         """``_kwh: suffix of 'standby_kwh' [line 4] <- ...`` witness."""
-        steps = " <- ".join(
-            step.render() for step in self.chain[:MAX_CHAIN_STEPS]
-        )
-        if len(self.chain) > MAX_CHAIN_STEPS:
-            steps += " <- ..."
+        steps = render_chain(self.chain)
         return f"_{self.unit.suffix} via {steps}" if steps else (
             f"_{self.unit.suffix}"
         )
@@ -240,6 +266,17 @@ class ImportedSymbol:
 _FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
+def parameters(args: ast.arguments) -> List[ast.arg]:
+    """Every parameter of a signature, ``*args`` and ``**kwargs`` last."""
+    return (
+        list(args.posonlyargs)
+        + list(args.args)
+        + list(args.kwonlyargs)
+        + ([args.vararg] if args.vararg else [])
+        + ([args.kwarg] if args.kwarg else [])
+    )
+
+
 @dataclass
 class ModuleInfo:
     """Per-module facts the analyzer needs: defs, imports, aliases."""
@@ -306,17 +343,21 @@ class ModuleInfo:
 
 
 class Program:
-    """Cross-module unit summaries, shared across one lint run.
+    """Cross-module function summaries, shared across one lint run.
 
     Holds a parse cache (usually the engine's shared ``_ModuleCache``),
-    per-module :class:`ModuleInfo`, and memoized per-function return
-    units so repo-wide runs stay linear in file count.
+    one :class:`ModuleInfo` per module, one callee resolver
+    (:meth:`resolve`) and one memo per summary kind (:meth:`summary`).
+    Three summaries use them: return units here, vectorization
+    capabilities (:func:`repro.quality.shapes.capability`) and blocking
+    witnesses (:func:`repro.quality.concurrency.blocking_witness`), so
+    repo-wide runs stay linear in file count.
     """
 
     def __init__(self, parse=None) -> None:
         self._parse = parse  # callable: Path -> Optional[ast.Module]
         self._infos: Dict[str, ModuleInfo] = {}
-        self._returns: Dict[Tuple[str, str], Optional[UnitLike]] = {}
+        self._summaries: Dict[str, Dict[Tuple[str, str], object]] = {}
 
     # ------------------------------------------------------------------
     def info_for(
@@ -366,6 +407,58 @@ class Program:
                 )
         return None
 
+    def resolve(
+        self, info: ModuleInfo, func: Union[str, ast.expr]
+    ) -> Optional[Tuple[ModuleInfo, str]]:
+        """The ``(module, name)`` a callee resolves to, one hop away.
+
+        ``func`` is a called name or a call's function expression.  A
+        name resolves to a def of ``info`` or, through ``from m import
+        f``, to ``m``; ``alias.f`` resolves through ``import m as
+        alias``.  ``None`` when nothing on disk matches.
+        """
+        if isinstance(func, ast.Attribute):
+            if not isinstance(func.value, ast.Name):
+                return None
+            dotted = info.module_aliases.get(func.value.id)
+            if dotted is None:
+                return None
+            target = self.load_module(info, dotted, 0)
+            return (target, func.attr) if target is not None else None
+        name = func.id if isinstance(func, ast.Name) else func
+        if not isinstance(name, str):
+            return None
+        if name in info.functions:
+            return info, name
+        symbol = info.imports.get(name)
+        if symbol is None:
+            return None
+        target = self.load_module(info, symbol.module, symbol.level)
+        return (target, symbol.original) if target is not None else None
+
+    def summary(
+        self,
+        kind: str,
+        info: ModuleInfo,
+        func_name: str,
+        compute: Callable[[], _S],
+    ) -> Optional[_S]:
+        """The memoized ``kind`` summary of one function.
+
+        The memo key is ``(module key, name)`` with no depth in it, and
+        it holds ``None`` while ``compute()`` runs, so recursion reads
+        "unknown" instead of looping.  A result therefore depends on
+        the order functions are first reached.
+        """
+        memo = self._summaries.setdefault(kind, {})
+        key = (info.key, func_name)
+        if key in memo:
+            return memo[key]  # type: ignore[return-value]
+        memo[key] = None  # cycle guard
+        value = compute()
+        memo[key] = value
+        return value
+
     # ------------------------------------------------------------------
     def return_unit(
         self, info: ModuleInfo, func_name: str, depth: int = 0
@@ -377,39 +470,36 @@ class Program:
         otherwise the body is analyzed and a unit is reported only when
         every ``return`` expression agrees.
         """
-        memo_key = (info.key, func_name)
-        if memo_key in self._returns:
-            return self._returns[memo_key]
-        self._returns[memo_key] = None  # cycle guard
-        unit = self._return_unit_uncached(info, func_name, depth)
-        self._returns[memo_key] = unit
-        return unit
+        return self.summary(
+            "return_unit",
+            info,
+            func_name,
+            lambda: self._return_unit_uncached(info, func_name, depth),
+        )
 
     def _return_unit_uncached(
         self, info: ModuleInfo, func_name: str, depth: int
     ) -> Optional[UnitLike]:
         func = info.functions.get(func_name)
-        if func is not None:
-            declared = resolve_unit(func.name)
-            if declared is not None:
-                return declared
-            if depth >= MAX_CALL_DEPTH:
-                return None
-            analyzer = FlowAnalyzer(info, self, depth=depth + 1)
-            flow = analyzer.analyze_function(func)
-            units = [inf.unit for _, inf in flow.returns if inf is not None]
-            if not units or len(units) != len(flow.returns):
-                return None
-            first = units[0]
-            if all(units_compatible(first, u) for u in units[1:]):
-                return first
+        if func is None:
+            hop = self.resolve(info, func_name)
+            if hop is not None:
+                return self.return_unit(*hop, depth)
+            # An import whose module is not on disk: trust its suffix.
+            return resolve_unit(func_name) if func_name in info.imports else None
+        declared = resolve_unit(func.name)
+        if declared is not None:
+            return declared
+        if depth >= MAX_CALL_DEPTH:
             return None
-        symbol = info.imports.get(func_name)
-        if symbol is not None:
-            target = self.load_module(info, symbol.module, symbol.level)
-            if target is not None:
-                return self.return_unit(target, symbol.original, depth)
-            return resolve_unit(func_name)
+        analyzer = FlowAnalyzer(info, self, depth=depth + 1)
+        flow = analyzer.analyze_function(func)
+        units = [inf.unit for _, inf in flow.returns if inf is not None]
+        if not units or len(units) != len(flow.returns):
+            return None
+        first = units[0]
+        if all(units_compatible(first, u) for u in units[1:]):
+            return first
         return None
 
 
@@ -453,8 +543,38 @@ def _expr_text(node: ast.AST, limit: int = 40) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-class FlowAnalyzer:
-    """Walk one scope in program order, tracking units per local name."""
+def walk_scope(body: Sequence[ast.AST]) -> Iterator[ast.AST]:
+    """All nodes of a scope without entering nested def/lambda bodies."""
+    stack: List[ast.AST] = list(body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+#: A walker environment: local name -> the subclass's lattice value.
+_Env = Dict[str, Any]
+
+
+class ScopeWalker:
+    """Walk one scope in program order over an environment of lattice values.
+
+    The statement walk, the branch and loop merges, destructuring and
+    ``global``/``nonlocal`` bookkeeping are shared.  A subclass supplies
+    its lattice and transfer function through these hooks: ``_join``,
+    ``_eval``, ``_visit`` (an expression whose value is used),
+    ``_scan`` (one whose value is not), ``_test`` (an ``if``/``while``
+    test), ``_loop_header``, ``_returned``, ``_aug_assign`` and
+    ``_bind`` (a name binding).
+    """
+
+    #: Destructuring target with no matching right-hand element: does
+    #: it receive the whole right-hand value (or nothing)?
+    UNMATCHED_TARGET_GETS_VALUE = False
 
     def __init__(
         self, info: ModuleInfo, program: Program, depth: int = 0
@@ -462,103 +582,55 @@ class FlowAnalyzer:
         self.info = info
         self.program = program
         self.depth = depth
-        self._flow: FunctionFlow = FunctionFlow(name="<none>", declared=None)
         #: names whose tracking is abandoned (``global``/``nonlocal``).
         self._untracked: set = set()
 
     # ------------------------------------------------------------------
-    def analyze_function(self, func: _FuncDef) -> FunctionFlow:
-        self._flow = FunctionFlow(
-            name=func.name, declared=resolve_unit(func.name)
-        )
+    def _walk_root(self, stmts: Sequence[ast.stmt], env: _Env) -> None:
         self._untracked = set()
-        env: Dict[str, Inferred] = {}
-        args = func.args
-        for arg in (
-            list(args.posonlyargs)
-            + list(args.args)
-            + list(args.kwonlyargs)
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        ):
-            unit = resolve_unit(arg.arg)
-            if unit is not None:
-                env[arg.arg] = Inferred(
-                    unit, (Step(f"parameter '{arg.arg}'", arg.lineno),)
-                )
-        self._walk_body(func.body, env)
-        return self._flow
+        self._walk_body(stmts, env)
 
-    def analyze_module(self) -> FunctionFlow:
-        self._flow = FunctionFlow(name="<module>", declared=None)
-        self._untracked = set()
-        env: Dict[str, Inferred] = {}
-        self._walk_body(self.info.tree.body, env)
-        return self._flow
-
-    # ------------------------------------------------------------------
-    # Statement walking
-    # ------------------------------------------------------------------
-    def _walk_body(
-        self, stmts: Sequence[ast.stmt], env: Dict[str, Inferred]
-    ) -> None:
+    def _walk_body(self, stmts: Sequence[ast.stmt], env: _Env) -> None:
         for stmt in stmts:
             self._walk_stmt(stmt, env)
 
-    def _walk_stmt(self, stmt: ast.stmt, env: Dict[str, Inferred]) -> None:
+    def _walk_stmt(self, stmt: ast.stmt, env: _Env) -> None:
         if isinstance(
             stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         ):
             return  # nested scopes are analyzed separately
         if isinstance(stmt, ast.Assign):
-            self._check_expr(stmt.value, env)
-            value = self._eval(stmt.value, env)
+            value = self._visit(stmt.value, env)
             for target in stmt.targets:
                 self._assign(target, stmt.value, value, env, stmt)
         elif isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
-                self._check_expr(stmt.value, env)
-                value = self._eval(stmt.value, env)
+                value = self._visit(stmt.value, env)
                 self._assign(stmt.target, stmt.value, value, env, stmt)
         elif isinstance(stmt, ast.AugAssign):
-            self._check_expr(stmt.value, env)
             self._aug_assign(stmt, env)
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
-                self._check_expr(stmt.value, env)
-                value = self._eval(stmt.value, env)
-                self._flow.returns.append(
-                    (stmt, value if isinstance(value, Inferred) else None)
-                )
+                self._returned(stmt, self._visit(stmt.value, env))
         elif isinstance(stmt, ast.If):
-            self._check_expr(stmt.test, env)
+            self._test(stmt, env)
             env_body = dict(env)
             env_else = dict(env)
             self._walk_body(stmt.body, env_body)
             self._walk_body(stmt.orelse, env_else)
             self._merge(env, self._join(env_body, env_else))
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._check_expr(stmt.iter, env)
-            env_body = dict(env)
-            iter_value = self._eval(stmt.iter, env)
-            seeded = (
-                iter_value.derived("loop over iterable", stmt.lineno)
-                if isinstance(iter_value, Inferred)
-                else None
-            )
-            self._assign(stmt.target, stmt.iter, seeded, env_body, stmt)
-            self._walk_body(stmt.body, env_body)
-            self._walk_body(stmt.orelse, env_body)
-            self._merge(env, self._join(env, env_body))
-        elif isinstance(stmt, ast.While):
-            self._check_expr(stmt.test, env)
-            env_body = dict(env)
+        elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+            if isinstance(stmt, ast.While):
+                self._test(stmt, env)
+                env_body = dict(env)
+            else:
+                env_body = self._loop_header(stmt, env)
             self._walk_body(stmt.body, env_body)
             self._walk_body(stmt.orelse, env_body)
             self._merge(env, self._join(env, env_body))
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
-                self._check_expr(item.context_expr, env)
+                self._scan(item.context_expr, env)
                 if item.optional_vars is not None:
                     self._assign(
                         item.optional_vars, item.context_expr, None, env, stmt
@@ -567,14 +639,11 @@ class FlowAnalyzer:
         elif isinstance(stmt, ast.Try):
             env_body = dict(env)
             self._walk_body(stmt.body, env_body)
-            branches = [env_body]
+            joined = env_body
             for handler in stmt.handlers:
                 env_handler = dict(env)
                 self._walk_body(handler.body, env_handler)
-                branches.append(env_handler)
-            joined = branches[0]
-            for branch in branches[1:]:
-                joined = self._join(joined, branch)
+                joined = self._join(joined, env_handler)
             self._merge(env, joined)
             self._walk_body(stmt.orelse, env)
             self._walk_body(stmt.finalbody, env)
@@ -587,18 +656,119 @@ class FlowAnalyzer:
                 env.pop(name, None)
                 self._untracked.add(name)
         else:
-            # Assert, Raise, Expr, ... — check any embedded arithmetic.
+            # Assert, Raise, Expr, ...: visit the embedded expressions.
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):
-                    self._check_expr(child, env)
+                    self._scan(child, env)
 
-    # ------------------------------------------------------------------
-    def _merge(
-        self, env: Dict[str, Inferred], joined: Dict[str, Inferred]
-    ) -> None:
+    @staticmethod
+    def _merge(env: _Env, joined: _Env) -> None:
         env.clear()
         env.update(joined)
 
+    def _assign(
+        self,
+        target: ast.expr,
+        value_node: ast.expr,
+        value,
+        env: _Env,
+        stmt: ast.stmt,
+    ) -> None:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            elements: Sequence[Optional[ast.expr]]
+            if isinstance(value_node, (ast.Tuple, ast.List)) and len(
+                value_node.elts
+            ) == len(target.elts):
+                elements = value_node.elts
+            else:
+                elements = [None] * len(target.elts)
+            unmatched = value if self.UNMATCHED_TARGET_GETS_VALUE else None
+            for sub_target, sub_value in zip(target.elts, elements):
+                if sub_value is None:
+                    self._assign(sub_target, target, unmatched, env, stmt)
+                else:
+                    sub = self._eval(sub_value, env)
+                    self._assign(sub_target, sub_value, sub, env, stmt)
+            return
+        # Attribute/subscript stores are not tracked.
+        if isinstance(target, ast.Name) and target.id not in self._untracked:
+            self._bind(target, value_node, value, env, stmt)
+
+    # ------------------------------------------------------------------
+    # Hooks
+    # ------------------------------------------------------------------
+    def _join(self, a: _Env, b: _Env) -> _Env:
+        raise NotImplementedError
+
+    def _eval(self, node: Optional[ast.expr], env: _Env):
+        raise NotImplementedError
+
+    def _visit(self, expr: ast.expr, env: _Env):
+        """Record an expression's events and return its value."""
+        raise NotImplementedError
+
+    def _scan(self, expr: ast.expr, env: _Env) -> None:
+        """Record an expression's events; its value is not used."""
+        self._visit(expr, env)
+
+    def _test(self, stmt: Union[ast.If, ast.While], env: _Env) -> None:
+        self._scan(stmt.test, env)
+
+    def _loop_header(
+        self, stmt: Union[ast.For, ast.AsyncFor], env: _Env
+    ) -> _Env:
+        """Bind the loop target; return the environment for the body."""
+        raise NotImplementedError
+
+    def _returned(self, stmt: ast.Return, value) -> None:
+        pass
+
+    def _aug_assign(self, stmt: ast.AugAssign, env: _Env) -> None:
+        raise NotImplementedError
+
+    def _bind(
+        self,
+        target: ast.Name,
+        value_node: ast.expr,
+        value,
+        env: _Env,
+        stmt: ast.stmt,
+    ) -> None:
+        raise NotImplementedError
+
+
+class FlowAnalyzer(ScopeWalker):
+    """Walk one scope in program order, tracking units per local name."""
+
+    def __init__(
+        self, info: ModuleInfo, program: Program, depth: int = 0
+    ) -> None:
+        super().__init__(info, program, depth)
+        self._flow: FunctionFlow = FunctionFlow(name="<none>", declared=None)
+
+    # ------------------------------------------------------------------
+    def analyze_function(self, func: _FuncDef) -> FunctionFlow:
+        self._flow = FunctionFlow(
+            name=func.name, declared=resolve_unit(func.name)
+        )
+        env: Dict[str, Inferred] = {}
+        for arg in parameters(func.args):
+            unit = resolve_unit(arg.arg)
+            if unit is not None:
+                env[arg.arg] = Inferred(
+                    unit, (Step(f"parameter '{arg.arg}'", arg.lineno),)
+                )
+        self._walk_root(func.body, env)
+        return self._flow
+
+    def analyze_module(self) -> FunctionFlow:
+        self._flow = FunctionFlow(name="<module>", declared=None)
+        self._walk_root(self.info.tree.body, {})
+        return self._flow
+
+    # ------------------------------------------------------------------
+    # Walker hooks
+    # ------------------------------------------------------------------
     def _join(
         self, a: Dict[str, Inferred], b: Dict[str, Inferred]
     ) -> Dict[str, Inferred]:
@@ -610,38 +780,41 @@ class FlowAnalyzer:
                 out[name] = value
         return out
 
-    # ------------------------------------------------------------------
-    def _assign(
+    def _visit(self, expr: ast.expr, env: Dict[str, Inferred]) -> _Value:
+        self._check_expr(expr, env)
+        return self._eval(expr, env)
+
+    def _scan(self, expr: ast.expr, env: Dict[str, Inferred]) -> None:
+        self._check_expr(expr, env)
+
+    def _loop_header(
+        self, stmt: Union[ast.For, ast.AsyncFor], env: Dict[str, Inferred]
+    ) -> Dict[str, Inferred]:
+        self._check_expr(stmt.iter, env)
+        env_body = dict(env)
+        iter_value = self._eval(stmt.iter, env)
+        seeded = (
+            iter_value.derived("loop over iterable", stmt.lineno)
+            if isinstance(iter_value, Inferred)
+            else None
+        )
+        self._assign(stmt.target, stmt.iter, seeded, env_body, stmt)
+        return env_body
+
+    def _returned(self, stmt: ast.Return, value: _Value) -> None:
+        self._flow.returns.append(
+            (stmt, value if isinstance(value, Inferred) else None)
+        )
+
+    def _bind(
         self,
-        target: ast.expr,
+        target: ast.Name,
         value_node: ast.expr,
         value: _Value,
         env: Dict[str, Inferred],
         stmt: ast.stmt,
     ) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            elements: Sequence[Optional[ast.expr]]
-            if isinstance(value_node, (ast.Tuple, ast.List)) and len(
-                value_node.elts
-            ) == len(target.elts):
-                elements = value_node.elts
-            else:
-                elements = [None] * len(target.elts)
-            for sub_target, sub_value in zip(target.elts, elements):
-                sub = self._eval(sub_value, env) if sub_value is not None else None
-                self._assign(
-                    sub_target,
-                    sub_value if sub_value is not None else target,
-                    sub,
-                    env,
-                    stmt,
-                )
-            return
-        if not isinstance(target, ast.Name):
-            return  # attribute/subscript stores are not tracked
         name = target.id
-        if name in self._untracked:
-            return
         inferred = value if isinstance(value, Inferred) else None
         declared = resolve_unit(name)
         converted = self._mentions_units(value_node)
@@ -691,6 +864,7 @@ class FlowAnalyzer:
     def _aug_assign(
         self, stmt: ast.AugAssign, env: Dict[str, Inferred]
     ) -> None:
+        self._check_expr(stmt.value, env)
         if not isinstance(stmt.target, ast.Name):
             return
         value = self._eval(stmt.value, env)
@@ -720,51 +894,38 @@ class FlowAnalyzer:
     # Expression checking (records OperandChecks for the rules)
     # ------------------------------------------------------------------
     def _check_expr(self, expr: ast.expr, env: Dict[str, Inferred]) -> None:
-        for node in self._walk_expr(expr):
+        for node in walk_scope((expr,)):
             if isinstance(node, ast.BinOp) and isinstance(
                 node.op, (ast.Add, ast.Sub)
             ):
-                left = self._eval(node.left, env)
-                right = self._eval(node.right, env)
-                self._flow.checks.append(
-                    OperandCheck(
-                        node=node,
-                        op="+" if isinstance(node.op, ast.Add) else "-",
-                        left_node=node.left,
-                        right_node=node.right,
-                        left=left if isinstance(left, Inferred) else None,
-                        right=right if isinstance(right, Inferred) else None,
-                    )
-                )
+                op = "+" if isinstance(node.op, ast.Add) else "-"
+                self._check(node, op, node.left, node.right, env)
             elif isinstance(node, ast.Compare):
                 operands = [node.left] + list(node.comparators)
                 for op, lhs, rhs in zip(node.ops, operands, operands[1:]):
-                    if not isinstance(op, _CMP_OPS):
-                        continue
-                    left = self._eval(lhs, env)
-                    right = self._eval(rhs, env)
-                    self._flow.checks.append(
-                        OperandCheck(
-                            node=node,
-                            op="comparison",
-                            left_node=lhs,
-                            right_node=rhs,
-                            left=left if isinstance(left, Inferred) else None,
-                            right=(
-                                right if isinstance(right, Inferred) else None
-                            ),
-                        )
-                    )
+                    if isinstance(op, _CMP_OPS):
+                        self._check(node, "comparison", lhs, rhs, env)
 
-    def _walk_expr(self, expr: ast.expr) -> Iterator[ast.AST]:
-        """All nodes of an expression, not descending into lambdas."""
-        stack: List[ast.AST] = [expr]
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, ast.Lambda):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
+    def _check(
+        self,
+        node: ast.expr,
+        op: str,
+        lhs: ast.expr,
+        rhs: ast.expr,
+        env: Dict[str, Inferred],
+    ) -> None:
+        left = self._eval(lhs, env)
+        right = self._eval(rhs, env)
+        self._flow.checks.append(
+            OperandCheck(
+                node=node,
+                op=op,
+                left_node=lhs,
+                right_node=rhs,
+                left=left if isinstance(left, Inferred) else None,
+                right=right if isinstance(right, Inferred) else None,
+            )
+        )
 
     # ------------------------------------------------------------------
     # Expression evaluation (the abstract transfer function)
@@ -967,9 +1128,7 @@ class FlowAnalyzer:
             factor = right.unit
             note = f"/ units.{right.name}"
             if not isinstance(left, Inferred):
-                if left is None and _is_number(node.left):
-                    return None  # a bare ratio like 2 / units.KWH
-                return None
+                return None  # e.g. a bare ratio like 2 / units.KWH
             unit = left.unit
             if isinstance(unit, UnitSuffix) and (
                 unit.dimension == factor.dimension
@@ -1020,26 +1179,15 @@ class FlowAnalyzer:
             return None
         if isinstance(func, ast.Attribute):
             # ``module_alias.func(...)``: resolve through the alias.
-            if isinstance(func.value, ast.Name):
-                dotted = self.info.module_aliases.get(func.value.id)
-                if dotted is not None and self.info.path is not None:
-                    target = self.program.load_module(self.info, dotted, 0)
-                    if target is not None:
-                        unit = self.program.return_unit(
-                            target, func.attr, self.depth
-                        )
-                        if unit is not None:
-                            return Inferred(
-                                unit,
-                                (
-                                    Step(
-                                        f"return of {func.value.id}."
-                                        f"{func.attr}()",
-                                        node.lineno,
-                                    ),
-                                ),
-                            )
-                        return None
+            hop = self.program.resolve(self.info, func)
+            if hop is not None:
+                unit = self.program.return_unit(*hop, self.depth)
+                if unit is None:
+                    return None
+                return Inferred(
+                    unit,
+                    (Step(f"return of {ast.unparse(func)}()", node.lineno),),
+                )
             unit = resolve_unit(func.attr)
             if unit is not None:
                 return Inferred(
@@ -1091,7 +1239,7 @@ class FlowAnalyzer:
         rebinding that goes through a units constant or helper
         (``x * units.MONTH``, ``units.joules_to_kwh(x)``) is deliberate.
         """
-        for sub in self._walk_expr(node):
+        for sub in walk_scope((node,)):
             if isinstance(sub, ast.Attribute):
                 base = sub.value
                 if isinstance(base, ast.Name) and (

@@ -34,8 +34,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Set
 
-from repro.quality.concurrency import get_blocking_index, walk_scope
+from repro.quality.concurrency import blocking_witness
 from repro.quality.findings import Finding, Severity
+from repro.quality.flow import context_info, get_program, walk_scope
 from repro.quality.rules.base import Rule, register
 
 
@@ -53,7 +54,8 @@ class AsyncBlockingRule(Rule):
         ]
         if not async_defs:
             return
-        index, info = get_blocking_index(ctx)
+        program = get_program(ctx)
+        info = context_info(ctx, program)
         for node in async_defs:
             awaited: Set[int] = set()
             calls = []
@@ -67,7 +69,7 @@ class AsyncBlockingRule(Rule):
             for call in calls:
                 if id(call) in awaited:
                     continue  # awaited calls yield to the loop
-                witness = index.witness_for_call(call, info)
+                witness = blocking_witness(program, call, info)
                 if witness is None:
                     continue
                 yield self.finding(

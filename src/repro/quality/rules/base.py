@@ -11,6 +11,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Type
 
 from repro.quality.findings import Finding, Severity
+from repro.quality.flow import parameters
 
 #: rule id -> rule class, in registration order.
 RULE_REGISTRY: Dict[str, Type["Rule"]] = {}
@@ -131,14 +132,7 @@ def function_local_names(func: ast.AST) -> set:
     bound = set()
     args = getattr(func, "args", None)
     if args is not None:
-        for arg in (
-            list(args.posonlyargs)
-            + list(args.args)
-            + list(args.kwonlyargs)
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        ):
-            bound.add(arg.arg)
+        bound.update(arg.arg for arg in parameters(args))
     for node in ast.walk(func):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             bound.add(node.id)

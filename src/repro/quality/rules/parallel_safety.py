@@ -39,12 +39,17 @@ belongs to the caller's call site, where the same rule checks it.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Union
+from typing import Dict, Iterator, List, Optional, Set
 
+from repro.quality.concurrency import MUTATING_METHODS
 from repro.quality.findings import Finding, Severity
-from repro.quality.rules.base import Rule, dotted_name, register
-
-_FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+from repro.quality.flow import _FuncDef, parameters, walk_scope
+from repro.quality.rules.base import (
+    Rule,
+    dotted_name,
+    function_local_names,
+    register,
+)
 
 #: Constructors whose module-level instances are per-process resources.
 #: VectorEngine/CortexM0 carry live simulator state (lane masks, toggle
@@ -59,22 +64,6 @@ _RESOURCE_FACTORIES = {
     "open",
     "get_tracer",
     "get_metrics",
-}
-
-#: Method names that mutate their receiver in place.
-_MUTATING_METHODS = {
-    "append",
-    "extend",
-    "insert",
-    "remove",
-    "pop",
-    "popitem",
-    "clear",
-    "update",
-    "setdefault",
-    "add",
-    "discard",
-    "appendleft",
 }
 
 #: Executor methods whose first argument is the submitted callable.
@@ -151,7 +140,7 @@ def _is_mutated_somewhere(nodes: List[ast.AST], name: str) -> bool:
             if (
                 isinstance(target, ast.Name)
                 and target.id == name
-                and node.func.attr in _MUTATING_METHODS
+                and node.func.attr in MUTATING_METHODS
             ):
                 return True
         if isinstance(node, (ast.Assign, ast.Delete)):
@@ -201,16 +190,8 @@ class ParallelSafetyRule(Rule):
         params: Set[str] = set()
         executors: Set[str] = set()
         if scope is not None:
-            args = scope.args
-            for arg in (
-                list(args.posonlyargs)
-                + list(args.args)
-                + list(args.kwonlyargs)
-                + ([args.vararg] if args.vararg else [])
-                + ([args.kwarg] if args.kwarg else [])
-            ):
-                params.add(arg.arg)
-        nodes = list(_walk_scope(body))
+            params = {arg.arg for arg in parameters(scope.args)}
+        nodes = list(walk_scope(body))
         # Pass 1: collect the scope's bindings (lambda names, nested
         # defs, executor instances) so call-site classification below is
         # independent of statement order.
@@ -303,7 +284,7 @@ class ParallelSafetyRule(Rule):
         self, func: _FuncDef, state: _ModuleState
     ) -> Optional[str]:
         """Shared-state hazards inside a module-level worker function."""
-        local = _local_names(func)
+        local = function_local_names(func)
         for node in ast.walk(func):
             if isinstance(node, ast.Global):
                 bad = [n for n in node.names if n in state.mutable_globals
@@ -328,36 +309,6 @@ class ParallelSafetyRule(Rule):
                         f"propagate back to the parent"
                     )
         return None
-
-
-def _local_names(func: _FuncDef) -> Set[str]:
-    names: Set[str] = set()
-    args = func.args
-    for arg in (
-        list(args.posonlyargs)
-        + list(args.args)
-        + list(args.kwonlyargs)
-        + ([args.vararg] if args.vararg else [])
-        + ([args.kwarg] if args.kwarg else [])
-    ):
-        names.add(arg.arg)
-    for node in ast.walk(func):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-    return names
-
-
-def _walk_scope(body) -> Iterator[ast.AST]:
-    """All nodes of a scope without entering nested function bodies."""
-    stack = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue  # nested scope checked separately
-        if isinstance(node, ast.Lambda):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _is_executor_ctor(node: ast.expr) -> bool:

@@ -9,8 +9,10 @@ functions are actually array-polymorphic: a stray ``float()``, a
 accumulation silently poisons batching and surfaces as a runtime crash
 or — worse — a wrong-but-plausible tensor result.
 
-This module follows model *data* instead of names, mirroring the
-dataflow architecture of :mod:`repro.quality.flow`:
+This module follows model *data* instead of names.  It is the second
+lattice on :mod:`repro.quality.flow`'s statement walker
+(:class:`~repro.quality.flow.ScopeWalker`) and
+interprocedural :class:`~repro.quality.flow.Program`:
 
 - **Lattice.**  Each tracked value is a :class:`ShapeValue` — a
   broadcast shape (``"lanes"`` for values that broadcast with the
@@ -32,10 +34,11 @@ dataflow architecture of :mod:`repro.quality.flow`:
   attribute reads) drop out of the lattice entirely, which is what
   makes ``float(x) if np.isscalar(x) else x`` guards cheap to exempt.
 
-- **Interprocedural capability.**  :class:`ShapeProgram` memoizes a
-  per-function :class:`Capability` ("array" / "scalar") across the
-  same on-disk import walk :class:`repro.quality.flow.Program` uses,
-  so a ``core`` pipeline calling a ``physical`` helper that hides a
+- **Interprocedural capability.**  :func:`capability` is a
+  per-function :class:`Capability` ("array" / "scalar") summary on the
+  lint run's one :class:`repro.quality.flow.Program`, which resolves
+  callees through the on-disk import walk and memoizes the result, so
+  a ``core`` pipeline calling a ``physical`` helper that hides a
   ``math.exp`` two modules away is seen as the cross-module contract
   drift it is (RPL016).
 
@@ -58,25 +61,25 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.quality.dimensions import resolve_unit
 from repro.quality.flow import (
     MAX_CALL_DEPTH,
-    MAX_CHAIN_STEPS,
     ModuleInfo,
     Program,
+    ScopeWalker,
     Step,
     _expr_text,
+    _FuncDef,
     context_info,
+    get_program,
+    render_chain,
 )
 
 #: Broadcast-shape lattice points for tracked model data.
 LANES = "lanes"
 SCALAR = "scalar"
-
-_FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
 
 # ---------------------------------------------------------------------------
 # Lattice values
@@ -107,12 +110,7 @@ class ShapeValue:
 
     def describe(self) -> str:
         """``parameter 'x_j' [line 3] <- ...`` provenance witness."""
-        steps = " <- ".join(
-            step.render() for step in self.chain[:MAX_CHAIN_STEPS]
-        )
-        if len(self.chain) > MAX_CHAIN_STEPS:
-            steps += " <- ..."
-        return steps or "<model data>"
+        return render_chain(self.chain) or "<model data>"
 
 
 # ---------------------------------------------------------------------------
@@ -267,55 +265,39 @@ def _is_scipy(dotted: Optional[str]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The cross-module program
+# The cross-module capability summary
 # ---------------------------------------------------------------------------
-class ShapeProgram(Program):
-    """Cross-module vectorization capabilities, shared across one run.
+def capability(
+    program: Program, info: ModuleInfo, func_name: str, depth: int = 0
+) -> Optional[Capability]:
+    """The memoized vectorization contract of one function, if known."""
+    return program.summary(
+        "capability",
+        info,
+        func_name,
+        lambda: _capability_uncached(program, info, func_name, depth),
+    )
 
-    Reuses :class:`repro.quality.flow.Program`'s parse cache, module
-    metadata, and on-disk import resolution; adds a memoized
-    per-function :class:`Capability` with the same pre-seeded cycle
-    guard ``return_unit`` uses.
-    """
 
-    def __init__(self, parse=None) -> None:
-        super().__init__(parse)
-        self._caps: Dict[Tuple[str, str], Optional[Capability]] = {}
-
-    def capability(
-        self, info: ModuleInfo, func_name: str, depth: int = 0
-    ) -> Optional[Capability]:
-        memo_key = (info.key, func_name)
-        if memo_key in self._caps:
-            return self._caps[memo_key]
-        self._caps[memo_key] = None  # cycle guard: recursion stays unknown
-        cap = self._capability_uncached(info, func_name, depth)
-        self._caps[memo_key] = cap
-        return cap
-
-    def _capability_uncached(
-        self, info: ModuleInfo, func_name: str, depth: int
-    ) -> Optional[Capability]:
-        func = info.functions.get(func_name)
-        if func is not None:
-            if depth >= MAX_CALL_DEPTH:
-                return None
-            analyzer = ShapeAnalyzer(info, self, depth=depth + 1)
-            shapes = analyzer.analyze_function(func)
-            if not shapes.seeded:
-                return None  # no model-data params: nothing to contract
-            where = _site(info, func.lineno)
-            hazard = _first_hazard(info, shapes)
-            if hazard is not None:
-                reason, line = hazard
-                return Capability("scalar", reason, _site(info, line))
-            return Capability("array", where=where)
-        symbol = info.imports.get(func_name)
-        if symbol is not None:
-            target = self.load_module(info, symbol.module, symbol.level)
-            if target is not None:
-                return self.capability(target, symbol.original, depth)
+def _capability_uncached(
+    program: Program, info: ModuleInfo, func_name: str, depth: int
+) -> Optional[Capability]:
+    func = info.functions.get(func_name)
+    if func is None:
+        hop = program.resolve(info, func_name)
+        return capability(program, *hop, depth) if hop is not None else None
+    if depth >= MAX_CALL_DEPTH:
         return None
+    shapes = ShapeAnalyzer(info, program, depth=depth + 1).analyze_function(
+        func
+    )
+    if not shapes.seeded:
+        return None  # no model-data params: nothing to contract
+    hazard = _first_hazard(info, shapes)
+    if hazard is not None:
+        reason, line = hazard
+        return Capability("scalar", reason, _site(info, line))
+    return Capability("array", where=_site(info, func.lineno))
 
 
 def _site(info: ModuleInfo, line: int) -> str:
@@ -344,28 +326,19 @@ def _first_hazard(
     return reason, line
 
 
-def get_shape_program(ctx) -> ShapeProgram:
-    """The per-run :class:`ShapeProgram`, cached on the module cache."""
-    extras = ctx.modules.extras
-    if "shapes.program" not in extras:
-        extras["shapes.program"] = ShapeProgram(parse=ctx.modules.parse)
-    return extras["shapes.program"]
-
-
 # ---------------------------------------------------------------------------
 # The analyzer
 # ---------------------------------------------------------------------------
-class ShapeAnalyzer:
+class ShapeAnalyzer(ScopeWalker):
     """Walk one scope in program order, tracking model data per name."""
 
+    UNMATCHED_TARGET_GETS_VALUE = True
+
     def __init__(
-        self, info: ModuleInfo, program: ShapeProgram, depth: int = 0
+        self, info: ModuleInfo, program: Program, depth: int = 0
     ) -> None:
-        self.info = info
-        self.program = program
-        self.depth = depth
+        super().__init__(info, program, depth)
         self._shapes = FunctionShapes(name="<none>", node=None)
-        self._untracked: Set[str] = set()
 
     # ------------------------------------------------------------------
     def analyze_function(self, func: _FuncDef) -> FunctionShapes:
@@ -379,136 +352,18 @@ class ShapeAnalyzer:
         self._shapes = FunctionShapes(
             name=func.name, node=func, seeded=seeded
         )
-        self._untracked = set()
         env: Dict[str, ShapeValue] = {}
         for arg in params:
             if arg.arg in seeded:
                 env[arg.arg] = ShapeValue(
                     LANES, (Step(f"parameter '{arg.arg}'", arg.lineno),)
                 )
-        self._walk_body(func.body, env)
+        self._walk_root(func.body, env)
         return self._shapes
 
     # ------------------------------------------------------------------
-    # Statement walking
+    # Walker hooks
     # ------------------------------------------------------------------
-    def _walk_body(
-        self, stmts: Sequence[ast.stmt], env: Dict[str, ShapeValue]
-    ) -> None:
-        for stmt in stmts:
-            self._walk_stmt(stmt, env)
-
-    def _walk_stmt(self, stmt: ast.stmt, env: Dict[str, ShapeValue]) -> None:
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            return  # nested scopes are analyzed separately
-        if isinstance(stmt, ast.Assign):
-            value = self._eval(stmt.value, env)
-            for target in stmt.targets:
-                self._assign(target, stmt.value, value, env, stmt)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                value = self._eval(stmt.value, env)
-                self._assign(stmt.target, stmt.value, value, env, stmt)
-        elif isinstance(stmt, ast.AugAssign):
-            self._aug_assign(stmt, env)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self._eval(stmt.value, env)
-        elif isinstance(stmt, ast.If):
-            test = self._eval(stmt.test, env)
-            if test is not None and test.lanes and not _raise_only(stmt):
-                self._shapes.branches.append(
-                    BranchEvent(stmt, "if", test)
-                )
-            env_body = dict(env)
-            env_else = dict(env)
-            self._walk_body(stmt.body, env_body)
-            self._walk_body(stmt.orelse, env_else)
-            self._merge(env, self._join(env_body, env_else))
-        elif isinstance(stmt, ast.While):
-            test = self._eval(stmt.test, env)
-            if test is not None and test.lanes:
-                self._shapes.branches.append(
-                    BranchEvent(stmt, "while", test)
-                )
-            env_body = dict(env)
-            self._walk_body(stmt.body, env_body)
-            self._walk_body(stmt.orelse, env_body)
-            self._merge(env, self._join(env, env_body))
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._walk_for(stmt, env)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._eval(item.context_expr, env)
-                if item.optional_vars is not None:
-                    self._assign(
-                        item.optional_vars, item.context_expr, None, env,
-                        stmt,
-                    )
-            self._walk_body(stmt.body, env)
-        elif isinstance(stmt, ast.Try):
-            env_body = dict(env)
-            self._walk_body(stmt.body, env_body)
-            branches = [env_body]
-            for handler in stmt.handlers:
-                env_handler = dict(env)
-                self._walk_body(handler.body, env_handler)
-                branches.append(env_handler)
-            joined = branches[0]
-            for branch in branches[1:]:
-                joined = self._join(joined, branch)
-            self._merge(env, joined)
-            self._walk_body(stmt.orelse, env)
-            self._walk_body(stmt.finalbody, env)
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    env.pop(target.id, None)
-        elif isinstance(stmt, (ast.Global, ast.Nonlocal)):
-            for name in stmt.names:
-                env.pop(name, None)
-                self._untracked.add(name)
-        else:
-            # Expr, Assert, Raise, ... — evaluate embedded expressions
-            # so calls buried in them still record events.
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self._eval(child, env)
-
-    def _walk_for(
-        self, stmt: Union[ast.For, ast.AsyncFor], env: Dict[str, ShapeValue]
-    ) -> None:
-        iter_value = self._eval(stmt.iter, env)
-        env_body = dict(env)
-        if iter_value is not None:
-            # One element of a lanes-shaped iterable is per-lane data.
-            element = iter_value.collapsed(
-                f"element of {_expr_text(stmt.iter)}", stmt.lineno
-            )
-            self._assign(stmt.target, stmt.iter, element, env_body, stmt)
-        else:
-            self._assign(stmt.target, stmt.iter, None, env_body, stmt)
-        if (
-            iter_value is not None
-            and iter_value.lanes
-            and _accumulates(stmt.body)
-        ):
-            self._shapes.folds.append(
-                FoldEvent(stmt, "Python-scalar '+='", iter_value)
-            )
-        self._walk_body(stmt.body, env_body)
-        self._walk_body(stmt.orelse, env_body)
-        self._merge(env, self._join(env, env_body))
-
-    # ------------------------------------------------------------------
-    def _merge(
-        self, env: Dict[str, ShapeValue], joined: Dict[str, ShapeValue]
-    ) -> None:
-        env.clear()
-        env.update(joined)
-
     def _join(
         self, a: Dict[str, ShapeValue], b: Dict[str, ShapeValue]
     ) -> Dict[str, ShapeValue]:
@@ -524,49 +379,62 @@ class ShapeAnalyzer:
                 out[name] = vb
         return out
 
-    # ------------------------------------------------------------------
-    def _assign(
+    def _visit(
+        self, expr: ast.expr, env: Dict[str, ShapeValue]
+    ) -> Optional[ShapeValue]:
+        return self._eval(expr, env)
+
+    def _test(
+        self, stmt: Union[ast.If, ast.While], env: Dict[str, ShapeValue]
+    ) -> None:
+        test = self._eval(stmt.test, env)
+        if test is None or not test.lanes:
+            return
+        if isinstance(stmt, ast.If):
+            if not _raise_only(stmt):
+                self._shapes.branches.append(BranchEvent(stmt, "if", test))
+        else:
+            self._shapes.branches.append(BranchEvent(stmt, "while", test))
+
+    def _loop_header(
+        self, stmt: Union[ast.For, ast.AsyncFor], env: Dict[str, ShapeValue]
+    ) -> Dict[str, ShapeValue]:
+        iter_value = self._eval(stmt.iter, env)
+        env_body = dict(env)
+        # One element of a lanes-shaped iterable is per-lane data.
+        element = (
+            iter_value.collapsed(
+                f"element of {_expr_text(stmt.iter)}", stmt.lineno
+            )
+            if iter_value is not None
+            else None
+        )
+        self._assign(stmt.target, stmt.iter, element, env_body, stmt)
+        if (
+            iter_value is not None
+            and iter_value.lanes
+            and _accumulates(stmt.body)
+        ):
+            self._shapes.folds.append(
+                FoldEvent(stmt, "Python-scalar '+='", iter_value)
+            )
+        return env_body
+
+    def _bind(
         self,
-        target: ast.expr,
+        target: ast.Name,
         value_node: ast.expr,
         value: Optional[ShapeValue],
         env: Dict[str, ShapeValue],
         stmt: ast.stmt,
     ) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            elements: Sequence[Optional[ast.expr]]
-            if isinstance(value_node, (ast.Tuple, ast.List)) and len(
-                value_node.elts
-            ) == len(target.elts):
-                elements = value_node.elts
-            else:
-                elements = [None] * len(target.elts)
-            for sub_target, sub_value in zip(target.elts, elements):
-                sub = (
-                    self._eval(sub_value, env)
-                    if sub_value is not None
-                    else value
-                )
-                self._assign(
-                    sub_target,
-                    sub_value if sub_value is not None else target,
-                    sub,
-                    env,
-                    stmt,
-                )
-            return
-        if not isinstance(target, ast.Name):
-            return  # attribute/subscript stores are not tracked
-        name = target.id
-        if name in self._untracked:
-            return
         if value is not None:
-            env[name] = value.derived(
-                f"'{name}' = {_expr_text(value_node)}",
+            env[target.id] = value.derived(
+                f"'{target.id}' = {_expr_text(value_node)}",
                 getattr(stmt, "lineno", target.lineno),
             )
         else:
-            env.pop(name, None)
+            env.pop(target.id, None)
 
     def _aug_assign(
         self, stmt: ast.AugAssign, env: Dict[str, ShapeValue]
@@ -743,7 +611,7 @@ class ShapeAnalyzer:
             if _is_scipy(symbol.module):
                 return data  # scipy.special etc. are ufunc-like
         if name in self.info.functions or symbol is not None:
-            return self._helper_call(node, name, data)
+            return self._capability_call(node, self.info, name, name, data)
         if data is None:
             return None
         return data.derived(f"return of {name}()", node.lineno)
@@ -827,11 +695,6 @@ class ShapeAnalyzer:
             return None
         return data.derived(f"return of {dotted}.{fn}()", node.lineno)
 
-    def _helper_call(
-        self, node: ast.Call, name: str, data: Optional[ShapeValue]
-    ) -> Optional[ShapeValue]:
-        return self._capability_call(node, self.info, name, name, data)
-
     def _capability_call(
         self,
         node: ast.Call,
@@ -840,7 +703,7 @@ class ShapeAnalyzer:
         display: str,
         data: Optional[ShapeValue],
     ) -> Optional[ShapeValue]:
-        cap = self.program.capability(info, func_name, self.depth)
+        cap = capability(self.program, info, func_name, self.depth)
         if data is None:
             return None
         if cap is not None and cap.kind == "scalar":
@@ -904,7 +767,7 @@ def analyze_shape_scopes(ctx) -> List[FunctionShapes]:
     scopes = ctx.analyses.get("shapes")
     if scopes is not None:
         return scopes
-    program = get_shape_program(ctx)
+    program = get_program(ctx)
     analyzer = ShapeAnalyzer(context_info(ctx, program), program)
     scopes = [
         analyzer.analyze_function(node)
@@ -925,9 +788,8 @@ __all__ = [
     "HelperCallEvent",
     "FunctionShapes",
     "Capability",
-    "ShapeProgram",
     "ShapeAnalyzer",
     "analyze_shape_scopes",
-    "get_shape_program",
+    "capability",
     "seeds_param",
 ]

@@ -19,7 +19,11 @@ Modules:
 - :mod:`repro.serve.loadgen` — deterministic closed-loop load.
 """
 
-from repro.serve.batcher import QueueFullError, RequestBatcher
+from repro.serve.batcher import (
+    BatcherClosedError,
+    QueueFullError,
+    RequestBatcher,
+)
 from repro.serve.flight import FlightRecorder
 from repro.serve.model import (
     GridQuery,
@@ -33,6 +37,7 @@ from repro.serve.model import (
 from repro.serve.server import PpatcServer, ServerConfig, run_server
 
 __all__ = [
+    "BatcherClosedError",
     "FlightRecorder",
     "GridQuery",
     "ModelContext",

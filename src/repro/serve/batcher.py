@@ -45,15 +45,20 @@ class QueueFullError(RuntimeError):
     """Raised by :meth:`RequestBatcher.submit` when the queue is full."""
 
 
+class BatcherClosedError(RuntimeError):
+    """Raised by :meth:`RequestBatcher.submit` once :meth:`stop` began."""
+
+
 class RequestBatcher:
     """Coalesce submitted items into batched evaluator calls.
 
     Args:
         evaluate: called with the list of queued items; returns one
-            result per item, in order.  Runs on the event loop thread —
-            for the PPAtC point evaluator (tens of microseconds per
-            query) that is the right trade; a heavier model would hand
-            off to a thread.
+            result per item, in order.  An exception instance in place
+            of a result fails that item alone.  Runs on the event loop
+            thread — for the PPAtC point evaluator (tens of microseconds
+            per query) that is the right trade; a heavier model would
+            hand off to a thread.
         window_s: how long the worker waits after the first item of a
             batch for stragglers to join it.  The default ``0`` is
             work-conserving: it evaluates whatever is queued after one
@@ -116,7 +121,7 @@ class RequestBatcher:
     def submit(self, item: Any) -> "Awaitable[Any]":
         """Queue one item; the returned future resolves to its result."""
         if self._worker is None or self._stopping:
-            raise RuntimeError("batcher is not accepting work")
+            raise BatcherClosedError("batcher is not accepting work")
         if len(self._pending) >= self.max_pending:
             obs.get_metrics().counter("serve.shed.total").inc()
             raise QueueFullError(
@@ -185,5 +190,9 @@ class RequestBatcher:
                     future.set_exception(exc)
             return
         for (_, future), result in zip(batch, results):
-            if not future.cancelled():
+            if future.cancelled():
+                continue
+            if isinstance(result, Exception):
+                future.set_exception(result)
+            else:
                 future.set_result(result)

@@ -237,8 +237,12 @@ class GridQuery:
                 f"mc_samples must be an integer in [0, {MAX_MC_SAMPLES}]"
             )
         mc_seed = payload.get("mc_seed", 0)
-        if isinstance(mc_seed, bool) or not isinstance(mc_seed, int):
-            raise QueryError("mc_seed must be an integer")
+        if (
+            isinstance(mc_seed, bool)
+            or not isinstance(mc_seed, int)
+            or mc_seed < 0
+        ):
+            raise QueryError("mc_seed must be a non-negative integer")
         return cls(
             grid=point.grid,
             clock_mhz=point.clock_mhz,
@@ -457,6 +461,21 @@ def _point_response(
     envelope_hi = months.max(axis=0).tolist()
     cand_tcdp = (cand_emb + cand_op) * time_ratio
     base_tcdp = (base_emb + base_op) * 1.0
+    # Finite inputs can still leave float64's range: a scale near the
+    # largest float overflows the ratio, a subnormal one underflows it.
+    if not (
+        ratio > 0.0
+        and math.isfinite(1.0 / ratio)
+        and math.isfinite(cand_tcdp)
+        and math.isfinite(base_tcdp)
+        and not math.isinf(iso_emb)
+        and not math.isinf(iso_op)
+        and np.isfinite(sheet).all()
+    ):
+        raise QueryError(
+            "the model has no finite answer for this query "
+            f"(tcdp_ratio {ratio!r}, candidate tCDP {cand_tcdp!r} g*s)"
+        )
     return {
         "schema": "ppatc-point/1",
         "query": {
@@ -550,8 +569,12 @@ def evaluate_point_scalar(
 
 def evaluate_points_batched(
     context: ModelContext, queries: Sequence[PointQuery]
-) -> List[Dict[str, Any]]:
+) -> List[Any]:
     """Coalesced tensor path: N queries in one batched evaluation.
+
+    Returns one response per query, in order.  A query the model has no
+    finite answer for gets its :class:`QueryError` in place of a
+    response, so it fails alone and its batch-mates are still answered.
 
     Builds one ``(7, n, 1 + months)`` scenario tensor — nominal plus the
     six paper perturbations, per query, at the query's own lifetime and
@@ -643,26 +666,29 @@ def evaluate_points_batched(
     iso_op = (target - xs[0, :, 0] * nominal_emb) / nominal_op
     iso_op = np.where(iso_op >= 0, iso_op, np.nan)
 
-    return [
-        _point_response(query, *scalars, sheet)
-        for query, scalars, sheet in zip(
-            queries,
-            zip(
-                yields[0, :, 0].tolist(),
-                nominal_emb.tolist(),
-                nominal_op.tolist(),
-                # Baseline embodied carbon is scenario-independent (the
-                # perturbations touch lifetime/CI/candidate yield only),
-                # so it stays un-broadcast at (1, n, 1).
-                base_emb[0, :, 0].tolist(),
-                base_op[0, :, 0].tolist(),
-                t_ratio[0, :, 0].tolist(),
-                iso_emb.tolist(),
-                iso_op.tolist(),
-            ),
-            ratios.transpose(1, 0, 2),
-        )
-    ]
+    responses: List[Any] = []
+    for query, scalars, sheet in zip(
+        queries,
+        zip(
+            yields[0, :, 0].tolist(),
+            nominal_emb.tolist(),
+            nominal_op.tolist(),
+            # Baseline embodied carbon is scenario-independent (the
+            # perturbations touch lifetime/CI/candidate yield only),
+            # so it stays un-broadcast at (1, n, 1).
+            base_emb[0, :, 0].tolist(),
+            base_op[0, :, 0].tolist(),
+            t_ratio[0, :, 0].tolist(),
+            iso_emb.tolist(),
+            iso_op.tolist(),
+        ),
+        ratios.transpose(1, 0, 2),
+    ):
+        try:
+            responses.append(_point_response(query, *scalars, sheet))
+        except QueryError as exc:
+            responses.append(exc)
+    return responses
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +736,11 @@ def evaluate_grid(
     }
     if query.include_ratio_map:
         grid = tmap.ratio_grid(xs, ys)
+        if not np.isfinite(grid).all():
+            raise QueryError(
+                "the model has no finite answer for this tile: an input "
+                "leaves float64's range"
+            )
         response["ratio_map"] = grid.tolist()
         response["candidate_win_fraction"] = float(
             np.count_nonzero(grid < 1.0) / grid.size

@@ -70,7 +70,11 @@ from repro.serve.model import (
     evaluate_grid,
     evaluate_points_batched,
 )
-from repro.serve.batcher import QueueFullError, RequestBatcher
+from repro.serve.batcher import (
+    BatcherClosedError,
+    QueueFullError,
+    RequestBatcher,
+)
 
 __all__ = ["ServerConfig", "PpatcServer", "run_server"]
 
@@ -283,6 +287,10 @@ class PpatcServer:
             return await self.batcher.submit(query)
         except QueueFullError as exc:
             raise HttpError(429, str(exc), keep_alive=True)
+        except BatcherClosedError:
+            raise HttpError(503, "server is draining", keep_alive=False)
+        except QueryError as exc:
+            raise HttpError(400, str(exc), keep_alive=True)
 
     # -- request handling --------------------------------------------------
     async def _handle_connection(
@@ -404,9 +412,12 @@ class PpatcServer:
             if method != "POST":
                 raise HttpError(405, "use POST", keep_alive=True)
             grid_query = self._parse(GridQuery, request)
-            return await asyncio.get_running_loop().run_in_executor(
-                self._grid_executor, evaluate_grid, self.context, grid_query
-            )
+            try:
+                return await asyncio.get_running_loop().run_in_executor(
+                    self._grid_executor, evaluate_grid, self.context, grid_query
+                )
+            except QueryError as exc:
+                raise HttpError(400, str(exc), keep_alive=True)
         raise HttpError(404, f"no route for {target}", keep_alive=True)
 
     def _metricz(self, request: HttpRequest) -> Any:

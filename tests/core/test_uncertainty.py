@@ -327,12 +327,3 @@ class TestNominalMapReuse:
         wins = np.stack([g < 1.0 for g in grids])
         assert np.array_equal(regions["candidate_always"], wins.all(axis=0))
         assert np.array_equal(regions["baseline_always"], ~wins.any(axis=0))
-
-    def test_robust_regions_parallel_matches_serial(self, nominal):
-        xs = np.linspace(0.1, 3.0, 8)
-        ys = np.linspace(0.1, 3.0, 6)
-        analysis = IsolineUncertaintyAnalysis(nominal)
-        serial = analysis.robust_regions(xs, ys, jobs=1)
-        fanned = analysis.robust_regions(xs, ys, jobs=2)
-        for key in serial:
-            assert np.array_equal(serial[key], fanned[key])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from repro.quality import RULE_REGISTRY, Baseline, LintEngine
 from repro.quality.engine import _ModuleCache
-from repro.quality.flow import FlowAnalyzer
+from repro.quality.flow import FlowAnalyzer, ModuleInfo
 from repro.quality.rules.base import Rule
 
 SOURCE = textwrap.dedent(
@@ -87,6 +87,42 @@ class TestFlowAnalysisOnce:
         pkg = _write_package(tmp_path)
         _engine("RPL006", "RPL007").lint_paths([pkg], root=tmp_path, jobs=1)
         assert sorted(Path(key).name for key in calls) == [
+            "__init__.py",
+            "a.py",
+            "b.py",
+        ]
+
+
+class TestOneProgram:
+    def test_module_info_is_built_once_per_module(self, tmp_path, monkeypatch):
+        built = []
+        original = ModuleInfo.build.__func__
+
+        def counting(cls, tree, path=None, package_root=None, key=None):
+            built.append(key)
+            return original(
+                cls, tree, path=path, package_root=package_root, key=key
+            )
+
+        monkeypatch.setattr(ModuleInfo, "build", classmethod(counting))
+        pkg = tmp_path / "core"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("")
+        (pkg / "a.py").write_text(
+            "from .b import scale\n\n"
+            "def f(e_j: float):\n    return scale(e_j) + e_j\n\n"
+            "async def serve(e_j: float):\n    return scale(e_j)\n"
+        )
+        (pkg / "b.py").write_text(
+            "import math\n\n"
+            "def scale(x_j: float):\n    return math.exp(x_j)\n"
+        )
+        # RPL006 (units), RPL009 (blocking) and RPL013 (shapes) each
+        # follow a.py's import of b.py through the one per-run Program.
+        _engine("RPL006", "RPL009", "RPL013").lint_paths(
+            [pkg], root=tmp_path, jobs=1
+        )
+        assert sorted(Path(key).name for key in built) == [
             "__init__.py",
             "a.py",
             "b.py",

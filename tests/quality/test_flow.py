@@ -279,6 +279,145 @@ class TestCrossModule:
         assert program.return_unit(info, "f") is None
 
 
+class TestStatementWalker:
+    """Pinned walker behavior: each case's events as the analyzer records them."""
+
+    @staticmethod
+    def _checks(flow):
+        return [
+            (
+                check.node.lineno,
+                check.left.describe() if check.left else None,
+                check.right.describe() if check.right else None,
+            )
+            for check in flow.checks
+        ]
+
+    def test_walrus_in_for_header(self):
+        # The header is checked, then the body env is copied, then the
+        # header is evaluated: a walrus under +/- binds before the copy
+        # and survives the loop; one under * binds after it and is lost.
+        flow = flow_named(
+            make_ctx(
+                """
+                def f(items, a_j, b_j):
+                    for x in (lost := a_j) * items:
+                        pass
+                    for y in range((kept := b_j) + b_j):
+                        pass
+                    return lost + kept
+                """
+            ),
+            "f",
+        )
+        b_j = "_j via parameter 'b_j' [line 2]"
+        assert self._checks(flow) == [(5, b_j, b_j), (7, None, b_j)]
+        assert [value for _, value in flow.returns] == [None]
+
+    def test_destructuring_with_fewer_values_than_targets(self):
+        flow = flow_named(
+            make_ctx(
+                """
+                def f(e_kwh, pair):
+                    lo, hi = e_kwh
+                    a, b, c = e_kwh, e_kwh
+                    total_j, spare = pair
+                    s1 = lo + e_kwh
+                    s2 = a + e_kwh
+                    s3 = total_j + e_kwh
+                """
+            ),
+            "f",
+        )
+        e_kwh = "_kwh via parameter 'e_kwh' [line 2]"
+        assert self._checks(flow) == [
+            (6, None, e_kwh),
+            (7, None, e_kwh),
+            (8, "_j via suffix of 'total_j' [line 5]", e_kwh),
+        ]
+
+    def test_try_except_else_finally(self):
+        flow = flow_named(
+            make_ctx(
+                """
+                def f(a_j, b_months):
+                    try:
+                        x = a_j
+                        y = a_j
+                    except ValueError:
+                        x = a_j
+                        y = b_months
+                    else:
+                        z = a_j
+                    finally:
+                        w = x
+                    s1 = x + a_j
+                    s2 = y + a_j
+                    s3 = z + a_j
+                    s4 = w + a_j
+                """
+            ),
+            "f",
+        )
+        a_j = "_j via parameter 'a_j' [line 2]"
+        x = "'x' = a_j [line 4] <- parameter 'a_j' [line 2]"
+        assert self._checks(flow) == [
+            (13, f"_j via {x}", a_j),
+            (14, None, a_j),
+            (15, "_j via 'z' = a_j [line 10] <- parameter 'a_j' [line 2]", a_j),
+            (16, f"_j via 'w' = x [line 12] <- {x}", a_j),
+        ]
+
+    def test_global_and_nonlocal_names_are_untracked(self):
+        ctx = make_ctx(
+            """
+            def f(a_j):
+                global total_j
+                total_j = a_j
+                return total_j + a_j
+
+            def outer(b_j):
+                count_j = b_j
+                def inner(c_j):
+                    nonlocal count_j
+                    count_j = c_j
+                    return count_j + c_j
+                return inner
+            """
+        )
+        assert self._checks(flow_named(ctx, "f")) == [
+            (5, None, "_j via parameter 'a_j' [line 2]")
+        ]
+        inner = flow_named(ctx, "inner")
+        assert self._checks(inner) == [
+            (12, None, "_j via parameter 'c_j' [line 9]")
+        ]
+        assert [value for _, value in inner.returns] == [None]
+
+    def test_raise_only_while_is_checked(self):
+        flow = flow_named(
+            make_ctx(
+                """
+                def f(a_j, b_months):
+                    while a_j > b_months:
+                        raise ValueError(a_j)
+                    return a_j
+                """
+            ),
+            "f",
+        )
+        assert [check.op for check in flow.checks] == ["comparison"]
+        assert self._checks(flow) == [
+            (
+                3,
+                "_j via parameter 'a_j' [line 2]",
+                "_months via parameter 'b_months' [line 2]",
+            )
+        ]
+        (_, value), = flow.returns
+        assert value.describe() == "_j via parameter 'a_j' [line 2]"
+
+
 class TestCompatibility:
     def test_composite_vs_simple_never_compatible(self):
         simple = UnitSuffix("kwh", "energy", 3.6e6)

@@ -3,14 +3,12 @@
 import ast
 import textwrap
 
-import pytest
-
-from repro.quality.flow import ModuleInfo
+from repro.quality.flow import ModuleInfo, Program
 from repro.quality.shapes import (
     Capability,
     ShapeAnalyzer,
-    ShapeProgram,
     ShapeValue,
+    capability,
     seeds_param,
 )
 
@@ -19,7 +17,7 @@ def analyze(source, func_name=None):
     """FunctionShapes for one function in an in-memory module."""
     tree = ast.parse(textwrap.dedent(source))
     info = ModuleInfo.build(tree, path=None, key="<test>")
-    program = ShapeProgram(parse=None)
+    program = Program(parse=None)
     analyzer = ShapeAnalyzer(info, program)
     funcs = [
         node
@@ -240,13 +238,13 @@ class TestCrossModuleCapability:
             package_root=tmp_path,
             key=str(pkg / "main.py"),
         )
-        program = ShapeProgram(
+        program = Program(
             parse=lambda p: ast.parse(p.read_text())
         )
         helpers = program.load_module(info, "core.helpers", 0)
         assert helpers is not None
-        scalar_cap = program.capability(helpers, "scalar_helper")
-        array_cap = program.capability(helpers, "array_helper")
+        scalar_cap = capability(program, helpers, "scalar_helper")
+        array_cap = capability(program, helpers, "array_helper")
         assert isinstance(scalar_cap, Capability)
         assert scalar_cap.kind == "scalar"
         assert "math.sqrt" in scalar_cap.reason
@@ -275,11 +273,124 @@ class TestCrossModuleCapability:
             package_root=tmp_path,
             key=str(pkg / "main.py"),
         )
-        program = ShapeProgram(
+        program = Program(
             parse=lambda p: ast.parse(p.read_text())
         )
         loop_mod = program.load_module(info, "core.loop", 0)
         assert loop_mod is not None
-        first = program.capability(loop_mod, "a")
-        second = program.capability(loop_mod, "a")
+        first = capability(program, loop_mod, "a")
+        second = capability(program, loop_mod, "a")
         assert first == second  # memoized, recursion did not explode
+
+
+class TestStatementWalker:
+    """Pinned walker behavior: each case's events as the analyzer records them."""
+
+    @staticmethod
+    def _events(shapes):
+        return (
+            [(e.node.lineno, e.func_text, e.value.describe())
+             for e in shapes.coercions],
+            [(e.node.lineno, e.construct, e.value.describe())
+             for e in shapes.branches],
+        )
+
+    def test_walrus_in_for_header(self):
+        # The header is evaluated before the body env is copied, so the
+        # walrus binding reaches both the body and the code after it.
+        shapes = analyze(
+            """
+            def f(x_j: float, items):
+                for v in (y := x_j) * items:
+                    pass
+                if y > 0:
+                    return 1.0
+                return 0.0
+            """
+        )
+        assert self._events(shapes) == (
+            [], [(5, "if", "parameter 'x_j' [line 2]")]
+        )
+        assert shapes.folds == []
+
+    def test_destructuring_with_fewer_values_than_targets(self):
+        # Unmatched targets take the whole value; a tuple value is not
+        # data, so ``b`` stays untracked.
+        shapes = analyze(
+            """
+            def f(x_j: float):
+                lo, hi = x_j
+                a, b, c = x_j, 1.0
+                if hi > 0:
+                    return float(lo)
+                if b > 0:
+                    return 1.0
+                return 0.0
+            """
+        )
+        source = "(lo, hi) [line 3] <- parameter 'x_j' [line 2]"
+        assert self._events(shapes) == (
+            [(6, "float()", f"'lo' = {source}")],
+            [(5, "if", f"'hi' = {source}")],
+        )
+
+    def test_try_except_else_finally(self):
+        shapes = analyze(
+            """
+            def f(x_j: float):
+                try:
+                    y = x_j
+                except ValueError:
+                    z = x_j
+                else:
+                    w = y
+                finally:
+                    v = 1.0
+                if z > 0:
+                    return float(w)
+                return 0.0
+            """
+        )
+        assert self._events(shapes) == (
+            [(12, "float()",
+              "'w' = y [line 8] <- 'y' = x_j [line 4] <- "
+              "parameter 'x_j' [line 2]")],
+            [(11, "if", "'z' = x_j [line 6] <- parameter 'x_j' [line 2]")],
+        )
+
+    def test_global_and_nonlocal_names_are_untracked(self):
+        source = """
+            def f(x_j: float):
+                global total
+                total = x_j
+                if total > 0:
+                    return 1.0
+                return float(x_j)
+
+            def outer(y_j: float):
+                count = y_j
+                def inner(z_j: float):
+                    nonlocal count
+                    count = z_j
+                    return float(count)
+                return inner
+            """
+        assert self._events(analyze(source, "f")) == (
+            [(7, "float()", "parameter 'x_j' [line 2]")], []
+        )
+        assert self._events(analyze(source, "inner")) == ([], [])
+
+    def test_raise_only_guard_is_skipped_on_if_but_not_while(self):
+        shapes = analyze(
+            """
+            def f(x_j: float):
+                if x_j < 0:
+                    raise ValueError(x_j)
+                while x_j > 1:
+                    raise ValueError(x_j)
+                return x_j
+            """
+        )
+        assert self._events(shapes) == (
+            [], [(5, "while", "parameter 'x_j' [line 2]")]
+        )

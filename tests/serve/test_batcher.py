@@ -5,7 +5,11 @@ import asyncio
 import pytest
 
 from repro import obs
-from repro.serve.batcher import QueueFullError, RequestBatcher
+from repro.serve.batcher import (
+    BatcherClosedError,
+    QueueFullError,
+    RequestBatcher,
+)
 
 
 class Recorder:
@@ -174,3 +178,31 @@ def test_constructor_validation():
         RequestBatcher(lambda items: items, max_batch=0)
     with pytest.raises(ValueError):
         RequestBatcher(lambda items: items, max_pending=0)
+
+
+def test_submit_after_stop_raises_a_typed_error(clean_obs):
+    async def run():
+        batcher = RequestBatcher(Recorder())
+        batcher.start()
+        await batcher.stop()
+        with pytest.raises(BatcherClosedError):
+            batcher.submit(1)
+
+    asyncio.run(run())
+
+
+def test_exception_result_fails_only_its_item(clean_obs):
+    def evaluate(items):
+        return [ValueError(i) if i == 2 else i * 10 for i in items]
+
+    async def run():
+        batcher = RequestBatcher(evaluate, window_s=0.002)
+        batcher.start()
+        futures = [batcher.submit(i) for i in range(4)]
+        results = [await futures[i] for i in (0, 1, 3)]
+        with pytest.raises(ValueError):
+            await futures[2]
+        await batcher.stop()
+        return results
+
+    assert asyncio.run(run()) == [0, 10, 30]

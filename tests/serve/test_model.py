@@ -112,6 +112,7 @@ def test_grid_query_axis_specs():
         {"mc_samples": -1},
         {"mc_samples": 10**9},
         {"mc_seed": "x"},
+        {"mc_seed": -1, "mc_samples": 10},
         {"include_ratio_map": "yes"},
         {"emb_scales": [0.5, float("nan")]},
         {"op_scales": [float("inf")]},
@@ -193,6 +194,36 @@ def test_batch_result_independent_of_batch_composition(warm_context):
 # ---------------------------------------------------------------------------
 # Response semantics
 # ---------------------------------------------------------------------------
+#: Finite inputs that parse but whose answer leaves float64's range.
+UNANSWERABLE = [
+    {"emb_scale": 1e308},
+    {"candidate_yield": 5e-324},
+    {"emb_scale": 0, "op_scale": 5e-324},
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("payload", UNANSWERABLE)
+def test_query_without_finite_answer_fails_alone(warm_context, payload):
+    bad = PointQuery.from_payload(payload)
+    good = PointQuery.from_payload({"op_scale": 0.5})
+    with pytest.raises(QueryError, match="no finite answer"):
+        evaluate_point_scalar(warm_context, bad)
+    first, error, last = evaluate_points_batched(
+        warm_context, [good, bad, good]
+    )
+    assert isinstance(error, QueryError)
+    want = canonical(evaluate_point_scalar(warm_context, good))
+    assert canonical(first) == canonical(last) == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grid_without_finite_answer_is_a_query_error(warm_context):
+    query = GridQuery.from_payload({"candidate_yield": 5e-324})
+    with pytest.raises(QueryError, match="no finite answer"):
+        evaluate_grid(warm_context, query)
+
+
 def test_point_response_schema_and_ratio(warm_context):
     query = PointQuery.from_payload(
         {"grid": "us", "lifetime_months": 24.0}

@@ -164,6 +164,53 @@ def test_degenerate_query_fails_alone_in_a_coalesced_batch():
     assert "emb_scale" in bad["error"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_query_without_finite_answer_fails_alone_in_a_coalesced_batch():
+    """A query that parses but overflows the model (emb_scale 1e308:
+    ratio inf) is a 400 of its own; its batch-mates get 200s."""
+
+    async def run():
+        server = PpatcServer(
+            ServerConfig(batch_window_s=0.05, **TEST_CONFIG)
+        )
+        await server.start()
+        try:
+            outcomes = await asyncio.gather(
+                post_json(server.port, {}),
+                post_json(server.port, {"emb_scale": 1e308}),
+                post_json(server.port, {"op_scale": 0.5}),
+            )
+        finally:
+            await server.stop()
+        return outcomes
+
+    (ok, ok_status), (bad, bad_status), (ok2, ok2_status) = [
+        (body, status) for status, body in asyncio.run(run())
+    ]
+    assert (ok_status, bad_status, ok2_status) == (200, 400, 200)
+    assert ok["schema"] == ok2["schema"] == "ppatc-point/1"
+    assert "no finite answer" in bad["error"]
+
+
+def test_request_read_after_the_batcher_drains_gets_503():
+    """The drain stops the batcher while connections may still deliver
+    requests; those are told the server is unavailable, not that it
+    failed internally."""
+
+    async def run():
+        server = PpatcServer(ServerConfig(**TEST_CONFIG))
+        await server.start()
+        try:
+            await server.batcher.stop()
+            return await post_json(server.port, {})
+        finally:
+            await server.stop()
+
+    status, body = asyncio.run(run())
+    assert status == 503
+    assert body["error"] == "server is draining"
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -314,7 +361,12 @@ def test_graceful_drain_finishes_inflight_requests():
             asyncio.ensure_future(post_json(server.port, {}))
             for _ in range(6)
         ]
-        await asyncio.sleep(0.02)  # let them enter the batch window
+        # Let all six enter the batch window (bounded: 5 s).
+        for _ in range(5000):
+            if server.batcher.pending == 6:
+                break
+            await asyncio.sleep(0.001)
+        assert server.batcher.pending == 6
         await server.stop()
         return await asyncio.gather(*inflight)
 
@@ -504,9 +556,12 @@ def test_profilez_disabled_by_default_enabled_by_config():
         )
         await server.start()
         try:
-            # Give the sampler a few periods of a busy event loop.
+            # Give the sampler a few periods of a busy event loop.  Five
+            # requests can finish inside one 4 ms period, so also wait
+            # out a dozen periods before reading the tick count.
             for _ in range(5):
                 await post_json(server.port, {})
+            await asyncio.sleep(12 / 250.0)
             report = await fetch_json(
                 "127.0.0.1", server.port, "/profilez"
             )
