@@ -42,13 +42,13 @@ def batched_ratio_grid(
 ) -> np.ndarray:
     """Relative-tCDP grids for a *batch* of candidate operating points.
 
-    The batched kernel behind :meth:`TcdpTradeoffMap.ratio_grid` and the
-    vectorized Monte Carlo sweep: the candidate components are arrays of
-    shape ``(n,)`` (one entry per sampled scenario) and the result has
-    shape ``(n, len(op_scales), len(emb_scales))``.  Element ``[s, i, j]``
-    uses exactly the same float operations, in the same order, as the
-    scalar ``ratio_grid`` of sample ``s`` — so a batched sweep is
-    bit-identical to a per-sample loop.
+    The kernel behind :meth:`TcdpTradeoffMap.ratio_grid`: the candidate
+    components are arrays of shape ``(n,)`` and the result has shape
+    ``(n, len(op_scales), len(emb_scales))``.  Element ``[s, i, j]`` uses
+    exactly the same float operations, in the same order, as the scalar
+    ``ratio_grid`` of entry ``s``.  The Monte Carlo sweep counts where
+    this expression is below 1 without building the tensor
+    (:func:`repro.core.uncertainty._mc_chunk_win_counts`).
     """
     x = np.asarray(emb_scales, dtype=float)
     y = np.asarray(op_scales, dtype=float)
@@ -118,10 +118,10 @@ class TcdpOperatingPoint:
     execution_time_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.embodied_g < 0 or self.operational_g < 0:
-            raise CarbonModelError("carbon components must be >= 0")
-        if self.execution_time_s <= 0:
-            raise CarbonModelError("execution time must be > 0")
+        if not (0 <= self.embodied_g < np.inf and 0 <= self.operational_g < np.inf):
+            raise CarbonModelError(f"carbon components must be finite and >= 0: {self}")
+        if not 0 < self.execution_time_s < np.inf:
+            raise CarbonModelError("execution time must be finite and > 0")
 
     @property
     def total_g(self) -> float:

@@ -15,14 +15,13 @@ Section III-D: the tCDP isoline moves when the underlying assumptions move
   design has better tCDP.
 
 The Monte Carlo is *batched*: all samples are drawn up front with the
-NumPy generator (:func:`draw_monte_carlo_samples`) and the win indicator
-is evaluated as one ``(samples, op_scales, emb_scales)`` grid computation
-on the same kernel as :meth:`TcdpTradeoffMap.ratio_grid`, optionally
-chunked over the :mod:`repro.runtime.parallel` process pool and memoized
-through a :class:`repro.runtime.cache.SweepCache`.  The per-sample
-reference loop survives as :func:`monte_carlo_win_probability_legacy`;
-both consume the same drawn samples, so for a fixed seed the two are
-bit-identical.
+NumPy generator (:func:`draw_monte_carlo_samples`), and each sample's
+break-even column on the sorted ``emb_scales`` axis is found per
+``op_scales`` row instead of building the ``(samples, op_scales,
+emb_scales)`` ratio tensor; the win counts are bit-identical to
+thresholding that tensor.  Chunks optionally fan out over the
+:mod:`repro.runtime.parallel` process pool, and sweeps are memoized
+through a :class:`repro.runtime.cache.SweepCache`.
 """
 
 from __future__ import annotations
@@ -43,15 +42,28 @@ from typing import (
 import numpy as np
 
 from repro import obs
-from repro.core.isoline import (
-    TcdpOperatingPoint,
-    TcdpTradeoffMap,
-    batched_ratio_grid,
-)
+from repro.core.isoline import TcdpOperatingPoint, TcdpTradeoffMap
 from repro.errors import CarbonModelError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.cache import SweepCache
+
+
+#: The domain of each :class:`ScenarioParameters` field; NaN is in none.
+_FIELD_DOMAINS = (
+    ("in (0, 1]", lambda v: 0 < v <= 1, ("candidate_yield", "baseline_yield")),
+    (
+        "finite and >= 0",
+        lambda v: 0 <= v < np.inf,
+        ("candidate_wafer_g", "candidate_op_per_month_g", "baseline_wafer_g",
+         "baseline_op_per_month_g", "lifetime_months", "ci_use_scale"),
+    ),
+    (
+        "finite and > 0",
+        lambda v: 0 < v < np.inf,
+        ("candidate_dies_per_wafer", "baseline_dies_per_wafer", "execution_time_ratio"),
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -78,14 +90,19 @@ class ScenarioParameters:
     execution_time_ratio: float = 1.0  # candidate time / baseline time
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.candidate_yield <= 1.0):
-            raise CarbonModelError(f"bad candidate yield {self.candidate_yield}")
-        if not (0.0 < self.baseline_yield <= 1.0):
-            raise CarbonModelError(f"bad baseline yield {self.baseline_yield}")
-        for name in ("lifetime_months", "ci_use_scale"):
-            value = getattr(self, name)
-            if not np.all((value >= 0) & np.isfinite(value)):  # NaN fails
-                raise CarbonModelError(f"{name} must be finite and >= 0, got {value}")
+        for domain, contains, names in _FIELD_DOMAINS:
+            for name in names:
+                value = getattr(self, name)
+                if not contains(value):
+                    raise CarbonModelError(f"{name} must be {domain}, got {value}")
+        # Finite inputs can still leave float64's range: the operating
+        # points reject carbon that overflows (a subnormal yield), and
+        # dies x yield can round to 0.
+        try:
+            self.candidate_point()
+            self.baseline_point()
+        except ZeroDivisionError as exc:
+            raise CarbonModelError("dies per wafer x yield underflows to 0") from exc
 
     def candidate_point(self) -> TcdpOperatingPoint:
         emb = self.candidate_wafer_g / (
@@ -285,12 +302,16 @@ def draw_monte_carlo_samples(
 
     Lifetime ~ Normal(nominal, sigma) truncated at > 0, CI_use scale ~
     LogNormal(0, ci_log_sigma), candidate yield ~ Uniform[low, high].
-    Drawing is separated from evaluation so the batched engine, the
-    legacy per-sample loop, the chunked parallel path, and the sweep
-    cache all consume the *same* sample set for a given generator state.
+    Drawing is separated from evaluation so the sweep, its chunked
+    parallel path, the sweep cache, and the test oracles all consume the
+    *same* sample set for a given generator state.
     """
     if n_samples <= 0:
         raise CarbonModelError(f"n_samples must be > 0, got {n_samples}")
+    if not 0.0 < yield_low <= yield_high <= 1.0:  # NaN fails
+        raise CarbonModelError(f"bad yield range [{yield_low}, {yield_high}]")
+    if not (0.0 <= lifetime_sigma_months < np.inf and 0.0 <= ci_log_sigma < np.inf):
+        raise CarbonModelError(f"bad sigmas {lifetime_sigma_months}, {ci_log_sigma}")
     if rng is None:
         rng = np.random.default_rng(0)
     lifetimes = np.maximum(
@@ -344,45 +365,91 @@ def batched_scenario_components(
     return cand_emb, cand_op, base_emb, base_op
 
 
+def _wins(x_at: np.ndarray, emb, y_op, t, denom) -> np.ndarray:
+    """``batched_ratio_grid``'s element expression < 1, operation for
+    operation; computed in place in the freshly gathered ``x_at``."""
+    np.multiply(x_at, emb, out=x_at)
+    x_at += y_op
+    x_at *= t
+    x_at /= denom
+    return x_at < 1.0
+
+
 def _mc_chunk_win_counts(
     payload: Tuple[ScenarioParameters, np.ndarray, np.ndarray, MonteCarloSamples],
 ) -> np.ndarray:
     """Win counts over one sample chunk: shape (op_scales, emb_scales).
 
-    The candidate/baseline carbon components are computed with the same
-    float operations, in the same order, as ``ScenarioParameters``
-    rebuilt per sample — the batched sweep is bit-identical to the
-    legacy loop by construction.
+    Entry ``[i, j]`` counts the samples ``s`` where element ``[s, i, j]``
+    of :func:`~repro.core.isoline.batched_ratio_grid`,
+    ``fl(fl(fl(fl(x_j*emb_s) + fl(y_i*op_s)) * t) / d_s)``, is below 1:
+
+    - *Prefix.*  IEEE rounding is monotone and every operand is >= 0,
+      with ``t`` finite and > 0 (the input checks ensure it), so the
+      ratio never falls as ``x`` grows; an overflowed sample loses on
+      the whole axis or a suffix of it.  Over the sorted unique
+      ``emb_scales``, each ``(s, i)`` wins on a prefix of length ``k``.
+    - *Guess, then verify.*  ``k`` is the insertion point of the
+      closed-form break-even ``(d/t - y*op) / emb``.  The exact
+      expression must win at ``k - 1`` and lose at ``k``; pairs where it
+      does not are settled by a fixed-round bisection on it.
+    - *Count.*  A per-row histogram of ``k``, summed from the right,
+      counts the winners at each unique ``x``; ``inverse`` maps them
+      back to the caller's axis.
+
+    The largest temporaries are ``(chunk, y)``, and the counts equal the
+    tests' oracle ``np.count_nonzero(batched_ratio_grid(...) < 1, 0)``.
     """
     nominal, x, y, samples = payload
-    cand_emb, cand_op, base_emb, base_op = batched_scenario_components(
-        nominal.candidate_wafer_g,
-        nominal.candidate_dies_per_wafer,
-        samples.yields,
-        nominal.candidate_op_per_month_g,
-        nominal.baseline_wafer_g,
-        nominal.baseline_dies_per_wafer,
-        nominal.baseline_yield,
-        nominal.baseline_op_per_month_g,
-        samples.lifetime_months,
-        nominal.ci_use_scale * samples.ci_scales,
-    )
-    base_tcdp = (base_emb + base_op) * 1.0  # baseline execution time is 1 s
-    ratios = batched_ratio_grid(
-        cand_emb,
-        cand_op,
-        nominal.execution_time_ratio,
-        base_tcdp,
-        x,
-        y,
-    )
-    return np.count_nonzero(ratios < 1.0, axis=0)
+    xs, inverse = np.unique(x, return_inverse=True)
+    nx = xs.size
+    if nx == 0:
+        return np.zeros((y.size, 0), dtype=np.intp)
+    t = np.asarray(nominal.execution_time_ratio, dtype=float)
+    # Overflowed samples (and emb = 0) make inf or NaN components and
+    # guesses; the verify step settles them like any other.
+    with np.errstate(all="ignore"):
+        cand_emb, cand_op, base_emb, base_op = batched_scenario_components(
+            nominal.candidate_wafer_g,
+            nominal.candidate_dies_per_wafer,
+            samples.yields,
+            nominal.candidate_op_per_month_g,
+            nominal.baseline_wafer_g,
+            nominal.baseline_dies_per_wafer,
+            nominal.baseline_yield,
+            nominal.baseline_op_per_month_g,
+            samples.lifetime_months,
+            nominal.ci_use_scale * samples.ci_scales,
+        )
+        base_tcdp = (base_emb + base_op) * 1.0  # baseline execution time is 1 s
+        emb, denom = cand_emb[:, None], base_tcdp[:, None]
+        y_op = y[None, :] * cand_op[:, None]
+        guess = denom / t - y_op
+        guess /= emb
+        k = np.searchsorted(xs, guess)
+        below = _wins(xs.take(k - 1, mode="clip"), emb, y_op, t, denom)
+        at = _wins(xs.take(k, mode="clip"), emb, y_op, t, denom)
+        s_bad, i_bad = np.nonzero(~(((k == 0) | below) & ((k == nx) | ~at)))
+        bad = (cand_emb[s_bad], y_op[s_bad, i_bad], t, base_tcdp[s_bad])
+        lo, hi = np.zeros_like(s_bad), np.full_like(s_bad, nx)
+        for _ in range(nx.bit_length()):
+            mid = (lo + hi) // 2  # == lo == hi once settled
+            win = _wins(xs.take(mid, mode="clip"), *bad) & (lo < hi)
+            lo = np.where(win, mid + 1, lo)
+            hi = np.where(win, hi, mid)
+        k[s_bad, i_bad] = lo
+    hist = np.bincount(
+        (k + np.arange(y.size) * (nx + 1)).ravel(), minlength=y.size * (nx + 1)
+    ).reshape(y.size, nx + 1)
+    wins_at = np.cumsum(hist[:, :0:-1], axis=1)[:, ::-1]
+    return wins_at[:, inverse]
 
 
-def _default_chunk_size(n_samples: int, grid_points: int) -> int:
-    """Samples per chunk bounding the (chunk, y, x) tensor to ~16 MiB."""
-    budget = 1 << 21  # float64 elements
-    return max(1, min(n_samples, budget // max(1, grid_points)))
+def _default_chunk_size(n_samples: int, rows: int) -> int:
+    """Samples per chunk bounding each (chunk, op_scales) temporary of
+    the kernel to ~2 MiB."""
+    budget = 1 << 18  # float64 elements
+    return max(1, min(n_samples, budget // max(1, rows)))
 
 
 def monte_carlo_win_probability(
@@ -403,8 +470,10 @@ def monte_carlo_win_probability(
 
     Samples lifetime ~ Normal(nominal, sigma) truncated at > 0, CI_use
     scale ~ LogNormal(0, ci_log_sigma), and candidate yield ~ Uniform
-    [yield_low, yield_high]; evaluates the win indicator for all samples
-    at once as a batched (samples, op_scales, emb_scales) grid.
+    [yield_low, yield_high]; then counts, per sample and ``op_scales``
+    row, the ``emb_scales`` entries where the candidate wins (see
+    :func:`_mc_chunk_win_counts`).  Every axis entry must be finite and
+    >= 0; samples whose carbon components overflow count as losses.
 
     Args:
         jobs: fan sample chunks out over the runtime process pool
@@ -424,6 +493,9 @@ def monte_carlo_win_probability(
     """
     x = np.asarray(emb_scales, dtype=float)
     y = np.asarray(op_scales, dtype=float)
+    for axis in (x, y):
+        if not np.all((axis >= 0) & np.isfinite(axis)):  # NaN fails
+            raise CarbonModelError("scale factors must be finite and >= 0")
     metrics = obs.get_metrics()
     with obs.span(
         "mc.win_probability", samples=n_samples, grid=x.size * y.size
@@ -465,7 +537,7 @@ def monte_carlo_win_probability(
         chunk = (
             chunk_size
             if chunk_size is not None
-            else _default_chunk_size(n_samples, x.size * y.size)
+            else _default_chunk_size(n_samples, y.size)
         )
         if chunk < 1:
             raise CarbonModelError(f"chunk_size must be >= 1, got {chunk}")
@@ -493,45 +565,3 @@ def monte_carlo_win_probability(
         if sweep_cache is not None and payload is not None:
             sweep_cache.put(payload, probability)
         return probability
-
-
-def monte_carlo_win_probability_legacy(
-    nominal: ScenarioParameters,
-    emb_scales: np.ndarray,
-    op_scales: np.ndarray,
-    n_samples: int = 1000,
-    lifetime_sigma_months: float = 3.0,
-    ci_log_sigma: float = 0.5,
-    yield_low: float = 0.10,
-    yield_high: float = 0.90,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """The per-sample reference loop the batched engine is checked against.
-
-    Consumes the same batched sample draw, then rebuilds
-    :class:`ScenarioParameters` and evaluates ``ratio_grid`` one sample
-    at a time.  For any fixed generator state the result is bit-identical
-    to :func:`monte_carlo_win_probability`.
-    """
-    x = np.asarray(emb_scales, dtype=float)
-    y = np.asarray(op_scales, dtype=float)
-    samples = draw_monte_carlo_samples(
-        nominal,
-        n_samples,
-        lifetime_sigma_months=lifetime_sigma_months,
-        ci_log_sigma=ci_log_sigma,
-        yield_low=yield_low,
-        yield_high=yield_high,
-        rng=rng,
-    )
-    wins = np.zeros((y.size, x.size), dtype=float)
-    for i in range(samples.n):
-        params = replace(
-            nominal,
-            lifetime_months=float(samples.lifetime_months[i]),
-            ci_use_scale=nominal.ci_use_scale * float(samples.ci_scales[i]),
-            candidate_yield=float(samples.yields[i]),
-        )
-        ratio = params.tradeoff_map().ratio_grid(x, y)
-        wins += (ratio < 1.0).astype(float)
-    return wins / n_samples

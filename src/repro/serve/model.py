@@ -23,8 +23,8 @@ Two evaluators produce byte-identical responses:
   per-call dispatch cost the scalar stack pays per request.
 
 The float operations agree element for element (the same contract the
-batched Monte Carlo engine honors against its legacy loop), so the
-request batcher can coalesce freely: clients cannot tell, bit for bit,
+batched Monte Carlo sweep honors against its per-sample test oracle), so
+the request batcher can coalesce freely: clients cannot tell, bit for bit,
 how large a batch their query rode in.  ``tests/serve/test_model.py``
 pins this differentially and the ``serve_mix`` workload of
 ``python -m bench`` re-checks served responses against it.
@@ -47,6 +47,7 @@ from repro.core.uncertainty import (
     monte_carlo_win_probability,
     paper_perturbations,
 )
+from repro.errors import CarbonModelError
 
 __all__ = [
     "QueryError",
@@ -321,24 +322,33 @@ class ScenarioBase:
     execution_time_ratio: float
 
     def scenario(self, query: PointQuery) -> ScenarioParameters:
-        """The scalar-stack parameters for one query over this base."""
-        return ScenarioParameters(
-            candidate_wafer_g=self.candidate_wafer_g,
-            candidate_dies_per_wafer=self.candidate_dies_per_wafer,
-            candidate_yield=(
-                query.candidate_yield
-                if query.candidate_yield is not None
-                else self.candidate_yield
-            ),
-            candidate_op_per_month_g=self.candidate_op_per_month_g,
-            baseline_wafer_g=self.baseline_wafer_g,
-            baseline_dies_per_wafer=self.baseline_dies_per_wafer,
-            baseline_yield=self.baseline_yield,
-            baseline_op_per_month_g=self.baseline_op_per_month_g,
-            lifetime_months=query.lifetime_months,
-            ci_use_scale=query.ci_use_scale,
-            execution_time_ratio=self.execution_time_ratio,
-        )
+        """The scalar-stack parameters for one query over this base.
+
+        A query that parses but whose carbon components leave float64's
+        range (a subnormal yield) is a :class:`QueryError`.
+        """
+        try:
+            return ScenarioParameters(
+                candidate_wafer_g=self.candidate_wafer_g,
+                candidate_dies_per_wafer=self.candidate_dies_per_wafer,
+                candidate_yield=(
+                    query.candidate_yield
+                    if query.candidate_yield is not None
+                    else self.candidate_yield
+                ),
+                candidate_op_per_month_g=self.candidate_op_per_month_g,
+                baseline_wafer_g=self.baseline_wafer_g,
+                baseline_dies_per_wafer=self.baseline_dies_per_wafer,
+                baseline_yield=self.baseline_yield,
+                baseline_op_per_month_g=self.baseline_op_per_month_g,
+                lifetime_months=query.lifetime_months,
+                ci_use_scale=query.ci_use_scale,
+                execution_time_ratio=self.execution_time_ratio,
+            )
+        except CarbonModelError as exc:
+            raise QueryError(
+                f"the model has no finite answer for this query: {exc}"
+            ) from exc
 
 
 @functools.lru_cache(maxsize=64)

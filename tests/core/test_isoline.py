@@ -27,6 +27,15 @@ class TestOperatingPoint:
         with pytest.raises(CarbonModelError):
             TcdpOperatingPoint(1.0, 1.0, execution_time_s=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["embodied_g", "operational_g", "execution_time_s"]
+    )
+    def test_non_finite_values_rejected(self, field, bad):
+        values = {"embodied_g": 1.0, "operational_g": 1.0, "execution_time_s": 1.0}
+        with pytest.raises(CarbonModelError, match="finite"):
+            TcdpOperatingPoint(**{**values, field: bad})
+
 
 class TestRatio:
     def test_nominal_point_matches_paper(self, tradeoff_map):

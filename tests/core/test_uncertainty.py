@@ -1,34 +1,91 @@
 """Tests for the uncertainty analysis (Fig. 6b)."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core.isoline import batched_ratio_grid
 from repro.core.uncertainty import (
     IsolineUncertaintyAnalysis,
     MonteCarloSamples,
     ScenarioParameters,
+    _mc_chunk_win_counts,
+    batched_scenario_components,
     draw_monte_carlo_samples,
     monte_carlo_win_probability,
-    monte_carlo_win_probability_legacy,
     paper_perturbations,
 )
 from repro.errors import CarbonModelError
 
 
+def legacy_win_probability(nominal, emb_scales, op_scales, n_samples, rng):
+    """The per-sample reference loop: rebuild :class:`ScenarioParameters`
+    for each drawn sample and threshold its ``ratio_grid``."""
+    x = np.asarray(emb_scales, dtype=float)
+    y = np.asarray(op_scales, dtype=float)
+    samples = draw_monte_carlo_samples(nominal, n_samples, rng=rng)
+    wins = np.zeros((y.size, x.size), dtype=float)
+    for i in range(samples.n):
+        params = replace(
+            nominal,
+            lifetime_months=float(samples.lifetime_months[i]),
+            ci_use_scale=nominal.ci_use_scale * float(samples.ci_scales[i]),
+            candidate_yield=float(samples.yields[i]),
+        )
+        ratio = params.tradeoff_map().ratio_grid(x, y)
+        wins += (ratio < 1.0).astype(float)
+    return wins / n_samples
+
+
+def sample_components(nominal, samples):
+    """Per-sample (cand_emb, cand_op, base_tcdp), as the sweep builds them."""
+    with np.errstate(all="ignore"):
+        cand_emb, cand_op, base_emb, base_op = batched_scenario_components(
+            nominal.candidate_wafer_g,
+            nominal.candidate_dies_per_wafer,
+            samples.yields,
+            nominal.candidate_op_per_month_g,
+            nominal.baseline_wafer_g,
+            nominal.baseline_dies_per_wafer,
+            nominal.baseline_yield,
+            nominal.baseline_op_per_month_g,
+            samples.lifetime_months,
+            nominal.ci_use_scale * samples.ci_scales,
+        )
+        return cand_emb, cand_op, (base_emb + base_op) * 1.0
+
+
+def dense_win_counts(nominal, x, y, samples):
+    """The dense oracle: threshold the whole (samples, y, x) ratio tensor."""
+    cand_emb, cand_op, base_tcdp = sample_components(nominal, samples)
+    with np.errstate(all="ignore"):
+        ratios = batched_ratio_grid(
+            cand_emb, cand_op, nominal.execution_time_ratio, base_tcdp, x, y
+        )
+    return np.count_nonzero(ratios < 1.0, axis=0)
+
+
+#: Paper case-study parameters at 24 months, US grid.
+NOMINAL = ScenarioParameters(
+    candidate_wafer_g=1100300.0,
+    candidate_dies_per_wafer=606238.0,
+    candidate_yield=0.50,
+    candidate_op_per_month_g=0.1957,
+    baseline_wafer_g=837060.0,
+    baseline_dies_per_wafer=299127.0,
+    baseline_yield=0.90,
+    baseline_op_per_month_g=0.2246,
+    lifetime_months=24.0,
+)
+
+
 @pytest.fixture
 def nominal():
-    """Paper case-study parameters at 24 months, US grid."""
-    return ScenarioParameters(
-        candidate_wafer_g=1100300.0,
-        candidate_dies_per_wafer=606238.0,
-        candidate_yield=0.50,
-        candidate_op_per_month_g=0.1957,
-        baseline_wafer_g=837060.0,
-        baseline_dies_per_wafer=299127.0,
-        baseline_yield=0.90,
-        baseline_op_per_month_g=0.2246,
-        lifetime_months=24.0,
-    )
+    return NOMINAL
 
 
 class TestScenarioParameters:
@@ -53,13 +110,47 @@ class TestScenarioParameters:
         with pytest.raises(CarbonModelError):
             replace(nominal, ci_use_scale=-0.5)
 
-    @pytest.mark.parametrize("field", ["lifetime_months", "ci_use_scale"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "lifetime_months",
+            "ci_use_scale",
+            "candidate_wafer_g",
+            "candidate_op_per_month_g",
+            "baseline_wafer_g",
+            "baseline_op_per_month_g",
+            "candidate_dies_per_wafer",
+            "baseline_dies_per_wafer",
+            "execution_time_ratio",
+        ],
+    )
     @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
     def test_out_of_domain_scalars_rejected(self, nominal, field, bad):
         from dataclasses import replace
 
         with pytest.raises(CarbonModelError):
             replace(nominal, **{field: bad})
+
+    @pytest.mark.parametrize(
+        "field",
+        ["candidate_dies_per_wafer", "baseline_dies_per_wafer", "execution_time_ratio"],
+    )
+    def test_zero_divisors_rejected(self, nominal, field):
+        with pytest.raises(CarbonModelError, match="> 0"):
+            replace(nominal, **{field: 0.0})
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"candidate_yield": 5e-324},
+            {"baseline_yield": 5e-324},
+            {"lifetime_months": 1e300, "candidate_op_per_month_g": 1e10},
+        ],
+    )
+    def test_finite_inputs_with_infinite_carbon_rejected(self, nominal, changes):
+        """Each input is in range, but a derived component overflows."""
+        with pytest.raises(CarbonModelError, match="finite"):
+            replace(nominal, **changes)
 
 
 class TestPaperPerturbations:
@@ -183,6 +274,34 @@ class TestMonteCarlo:
                 nominal, np.array([1.0]), np.array([1.0]), 0
             )
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"yield_low": -0.5},
+            {"yield_low": 0.0, "yield_high": 0.0},
+            {"yield_high": 3.0},
+            {"yield_low": 0.9, "yield_high": 0.1},
+            {"yield_low": float("nan")},
+            {"lifetime_sigma_months": float("nan")},
+            {"lifetime_sigma_months": -1.0},
+            {"ci_log_sigma": float("inf")},
+        ],
+    )
+    def test_bad_sampling_distribution(self, nominal, kwargs):
+        with pytest.raises(CarbonModelError):
+            monte_carlo_win_probability(
+                nominal, np.array([1.0]), np.array([1.0]), 10, **kwargs
+            )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("axis", ["emb", "op"])
+    def test_bad_axis_entry(self, nominal, axis, bad):
+        good = np.array([0.5, 1.0])
+        broken = np.array([0.5, bad])
+        xs, ys = (broken, good) if axis == "emb" else (good, broken)
+        with pytest.raises(CarbonModelError, match="finite"):
+            monte_carlo_win_probability(nominal, xs, ys, 10)
+
 
 @pytest.mark.smoke
 class TestBatchedEngineEquivalence:
@@ -196,7 +315,7 @@ class TestBatchedEngineEquivalence:
         fast = monte_carlo_win_probability(
             nominal, self.XS, self.YS, 200, rng=np.random.default_rng(7)
         )
-        slow = monte_carlo_win_probability_legacy(
+        slow = legacy_win_probability(
             nominal, self.XS, self.YS, 200, rng=np.random.default_rng(7)
         )
         assert np.array_equal(fast, slow)
@@ -254,6 +373,133 @@ class TestBatchedEngineEquivalence:
             cache=cache,
         )
         assert cache.misses == 2
+
+
+scales = st.one_of(
+    st.floats(0.0, 4.0),
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.floats(0.0, 1e300),
+)
+
+
+@st.composite
+def chunk_payloads(draw):
+    """A sample chunk and two scale axes for ``_mc_chunk_win_counts``.
+
+    The axes are unsorted, may repeat entries, mix 0.0 and -0.0, and get
+    a cluster of values a few ulps either side of one sample's
+    break-even.  Zero wafer carbon (emb = 0), a random execution-time
+    ratio, and samples whose carbon overflows are drawn too.
+    """
+    nominal = replace(
+        NOMINAL,
+        execution_time_ratio=draw(st.floats(0.5, 2.0)),
+        candidate_wafer_g=draw(st.sampled_from([NOMINAL.candidate_wafer_g, 0.0])),
+    )
+    drawn = draw_monte_carlo_samples(
+        nominal,
+        draw(st.integers(1, 40)),
+        rng=np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+    )
+    # (lifetime, CI scale, yield) triples that can overflow float64.
+    extreme = draw(
+        st.lists(
+            st.tuples(
+                st.floats(1e-3, 1e308),
+                st.floats(0.0, np.inf),
+                st.floats(5e-324, 1.0),
+            ),
+            max_size=3,
+        )
+    )
+    samples = MonteCarloSamples(
+        *(
+            np.concatenate([column, [row[c] for row in extreme]])
+            for c, column in enumerate(
+                (drawn.lifetime_months, drawn.ci_scales, drawn.yields)
+            )
+        )
+    )
+    y = np.array(draw(st.lists(scales, min_size=1, max_size=6)))
+    x = draw(st.lists(scales, min_size=1, max_size=8))
+    s = draw(st.integers(0, samples.n - 1))
+    i = draw(st.integers(0, y.size - 1))
+    cand_emb, cand_op, base_tcdp = sample_components(nominal, samples)
+    with np.errstate(all="ignore"):
+        t = nominal.execution_time_ratio
+        edge = (base_tcdp[s] / t - y[i] * cand_op[s]) / cand_emb[s]
+    if 0.0 <= edge < np.inf:
+        below = above = edge
+        x.append(edge)
+        for _ in range(3):
+            below = np.nextafter(below, 0.0)
+            above = np.nextafter(above, np.inf)
+            x += [below, above]
+    x += draw(st.lists(st.sampled_from(x), max_size=4))
+    return nominal, np.array(draw(st.permutations(x)), dtype=float), y, samples
+
+
+@pytest.mark.smoke
+class TestBreakEvenCounts:
+    """The threshold-count kernel against the dense ratio tensor."""
+
+    @given(chunk_payloads())
+    def test_counts_equal_dense_oracle(self, payload):
+        nominal, x, y, samples = payload
+        got = _mc_chunk_win_counts(payload)
+        want = dense_win_counts(nominal, x, y, samples)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_overflowed_samples_lose_like_the_dense_tensor(self):
+        """An infinite CI scale makes both the candidate and the baseline
+        tCDP infinite, so the break-even guess is NaN and the bisection
+        settles the sample; it loses everywhere, as in the tensor."""
+        samples = MonteCarloSamples(
+            np.array([24.0, 1e308, 24.0, 24.0]),
+            np.array([np.inf, 1.0, 0.0, 1.0]),
+            np.array([0.5, 0.5, 0.5, 5e-324]),
+        )
+        x = np.array([2.0, 0.0, 0.5, 1e300, 0.5])
+        y = np.array([0.0, 1.0, 3.0])
+        got = _mc_chunk_win_counts((NOMINAL, x, y, samples))
+        assert np.array_equal(got, dense_win_counts(NOMINAL, x, y, samples))
+
+    def test_empty_emb_axis(self):
+        samples = draw_monte_carlo_samples(NOMINAL, 5)
+        got = _mc_chunk_win_counts((NOMINAL, np.array([]), np.ones(3), samples))
+        assert got.shape == (3, 0)
+
+
+@pytest.fixture(scope="module")
+def case_parameters():
+    from repro.analysis.case_study import build_case_study
+    from repro.analysis.sensitivity import case_study_parameters
+
+    return case_study_parameters(build_case_study())
+
+
+class TestPinnedWinMaps:
+    """Win maps of the case study: 2000 samples on a 40 x 40 grid.
+
+    The sha256 prefixes are copied from ``bench/references.json``
+    (``model_sweep`` ``mc_digests``, seeds 0-2), against which the
+    ``model_sweep`` benchmark checks every Monte Carlo run.
+    """
+
+    DIGESTS = {0: "13aabde595135ba5", 1: "30d86916b248c57a", 2: "2e894e16b1c8f5c8"}
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_win_map_digest(self, case_parameters, seed):
+        axis = np.linspace(0.05, 2.0, 40)
+        win = monte_carlo_win_probability(
+            case_parameters, axis, axis, n_samples=2000,
+            rng=np.random.default_rng(seed),
+        )
+        digest = hashlib.sha256(
+            np.ascontiguousarray(win, dtype=np.float64).tobytes()
+        ).hexdigest()
+        assert digest[:16] == self.DIGESTS[seed]
 
 
 class TestSampleDraws:

@@ -192,6 +192,29 @@ def test_query_without_finite_answer_fails_alone_in_a_coalesced_batch():
     assert "no finite answer" in bad["error"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grid_without_finite_nominal_ratio_is_a_400():
+    """A subnormal yield overflows the candidate's embodied carbon; with
+    no ratio map asked for, the tile's nominal ratio must not reach the
+    client as a bare ``Infinity`` token (which is not JSON)."""
+
+    async def run():
+        server = PpatcServer(ServerConfig(**TEST_CONFIG))
+        await server.start()
+        try:
+            return await post_json(
+                server.port,
+                {"candidate_yield": 5e-324, "include_ratio_map": False},
+                target="/v1/grid",
+            )
+        finally:
+            await server.stop()
+
+    status, body = asyncio.run(run())
+    assert status == 400
+    assert "no finite answer" in body["error"]
+
+
 def test_request_read_after_the_batcher_drains_gets_503():
     """The drain stops the batcher while connections may still deliver
     requests; those are told the server is unavailable, not that it
