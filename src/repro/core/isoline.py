@@ -140,10 +140,26 @@ class TcdpTradeoffMap:
         candidate: TcdpOperatingPoint,
         baseline: TcdpOperatingPoint,
     ) -> None:
-        if baseline.tcdp == 0:
-            raise CarbonModelError("baseline tCDP must be non-zero")
+        self.check_points(candidate, baseline)
         self.candidate = candidate
         self.baseline = baseline
+
+    @staticmethod
+    def check_points(
+        candidate: TcdpOperatingPoint, baseline: TcdpOperatingPoint
+    ) -> None:
+        """Raise :class:`CarbonModelError` unless the relative tCDP at
+        the nominal point, ``candidate.tcdp / baseline.tcdp``, is finite.
+
+        Finite components can still overflow it: a tiny baseline tCDP
+        as the divisor, or a candidate tCDP past float64's range.
+        """
+        if baseline.tcdp == 0:
+            raise CarbonModelError("baseline tCDP must be non-zero")
+        if not candidate.tcdp / baseline.tcdp < np.inf:
+            raise CarbonModelError(
+                f"relative tCDP {candidate.tcdp} / {baseline.tcdp} is not finite"
+            )
 
     def ratio(self, emb_scale: float, op_scale: float) -> float:
         """Relative tCDP at one (x, y) point; < 1 means candidate wins."""

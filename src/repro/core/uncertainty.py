@@ -96,13 +96,14 @@ class ScenarioParameters:
                 if not contains(value):
                     raise CarbonModelError(f"{name} must be {domain}, got {value}")
         # Finite inputs can still leave float64's range: the operating
-        # points reject carbon that overflows (a subnormal yield), and
-        # dies x yield can round to 0.
+        # points reject carbon that overflows (a subnormal yield), dies x
+        # yield can round to 0, and a tiny baseline tCDP, the divisor of
+        # every relative tCDP, can overflow the ratio.
         try:
-            self.candidate_point()
-            self.baseline_point()
+            candidate, baseline = self.candidate_point(), self.baseline_point()
         except ZeroDivisionError as exc:
             raise CarbonModelError("dies per wafer x yield underflows to 0") from exc
+        TcdpTradeoffMap.check_points(candidate, baseline)
 
     def candidate_point(self) -> TcdpOperatingPoint:
         emb = self.candidate_wafer_g / (

@@ -11,13 +11,21 @@ transients on the cell plus its sub-array parasitics:
 - **Read**: the RBL (with full bitline capacitance) is precharged to VDD;
   RWL rises; with SN storing a '1' the read stack discharges the RBL; the
   delay is from the RWL edge to the RBL falling through the sense
-  threshold (VDD/2).
+  threshold (VDD/2).  The read transient stops at that sense event,
+  after the step at which both crossings have occurred: step 87 of
+  2,000 for the Si cell, step 51 for M3D.  The delay is bit-identical
+  to a run of the full window.
+
+The write transient runs its full window: its target is 90 % of the
+settled SN level, the mean of the last 5 % of samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
+from repro.edram.bitcell import BitcellDesign
 from repro.edram.subarray import SubArrayDesign
 from repro.spice import (
     Capacitor,
@@ -26,10 +34,11 @@ from repro.spice import (
     FetElement,
     Pulse,
     Resistor,
+    TransientResult,
     VoltageSource,
     transient,
 )
-from repro.spice.waveform import Waveform
+from repro.spice.waveform import Crossing, Waveform
 
 #: Output resistance of the Si write driver (ohms) — a sized inverter.
 WRITE_DRIVER_RES_OHM = 2_000.0
@@ -137,28 +146,50 @@ def _read_circuit(subarray: SubArrayDesign, stored_v: float) -> Circuit:
     return circuit
 
 
+def _sense_events(cell: BitcellDesign) -> Tuple[Crossing, Crossing]:
+    """The read delay's two events: RWL rising through VDD/2, then RBL
+    falling through the sense threshold."""
+    return (
+        Crossing("rwl", cell.vdd_v / 2.0),
+        Crossing("rbl", READ_SENSE_FRACTION * cell.vdd_v, rising=False),
+    )
+
+
+def _read_delay(
+    result: TransientResult, events: Tuple[Crossing, Crossing]
+) -> float:
+    t_rwl, t_sense = (
+        result.voltage(node).first_crossing(threshold, rising)
+        for node, threshold, rising in events
+    )
+    return max(t_sense - t_rwl, 0.0)
+
+
 def simulate_read(
     subarray: SubArrayDesign,
     stored_v: "float | None" = None,
     t_stop: float = 4e-9,
     dt: float = 2e-12,
 ) -> "tuple[float, Waveform]":
-    """Read a stored '1': RBL discharge delay and waveform."""
+    """Read a stored '1': RBL discharge delay and waveform.
+
+    The transient stops at the sense event, so the waveform ends at the
+    first sample past the sense threshold.  A cell whose RBL never gets
+    there runs the full ``t_stop`` and raises :class:`~repro.errors.AnalysisError`.
+    """
     cell = subarray.cell
     v1 = cell.vdd_v if stored_v is None else stored_v
     circuit = _read_circuit(subarray, v1)
+    events = _sense_events(cell)
     result = transient(
         circuit,
         t_stop=t_stop,
         dt=dt,
         initial_conditions={"rbl": cell.vdd_v, "mid": 0.0},
         use_dc_start=False,
+        stop_after=events,
     )
-    rbl = result.voltage("rbl")
-    t_rwl = result.voltage("rwl").first_crossing(cell.vdd_v / 2.0)
-    threshold = READ_SENSE_FRACTION * cell.vdd_v
-    t_sense = rbl.first_crossing(threshold, rising=False)
-    return max(t_sense - t_rwl, 0.0), rbl
+    return _read_delay(result, events), result.voltage("rbl")
 
 
 def simulate_read_zero_disturb(

@@ -9,7 +9,8 @@ implements:
   netlist compiled once per analysis into a stamp plan;
 - Newton-Raphson DC operating point with gmin regularization, damping,
   and source stepping;
-- fixed-step backward-Euler transient analysis;
+- fixed-step backward-Euler transient analysis, optionally stopped once
+  the threshold crossings a caller measures have occurred;
 - waveform post-processing (threshold crossings, delays, energies).
 
 It is a dense-matrix simulator intended for the bit-cell and sub-array

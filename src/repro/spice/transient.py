@@ -3,14 +3,16 @@
 Backward Euler is L-stable — the right choice for stiff memory-cell
 netlists that mix femtofarad storage nodes with ultra-low leakage
 currents.  Each step solves the nonlinear MNA system with Newton,
-warm-started from the previous solution.
+warm-started from the previous solution.  Like a SPICE ``.meas`` with a
+stop condition, a run may end early once the threshold crossings its
+caller measures have all occurred.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from repro.spice.dc import dc_operating_point
 from repro.spice.elements import VoltageSource
 from repro.spice.mna import DEFAULT_GMIN, StampPlan, newton_solve
 from repro.spice.netlist import Circuit
-from repro.spice.waveform import Waveform, _trapezoid
+from repro.spice.waveform import Crossing, Waveform, _trapezoid, crossed
 
 
 @dataclass
@@ -67,6 +69,7 @@ def transient(
     initial_conditions: Optional[Dict[str, float]] = None,
     use_dc_start: bool = True,
     gmin: float = DEFAULT_GMIN,
+    stop_after: Sequence[Crossing] = (),
 ) -> TransientResult:
     """Run a transient analysis from 0 to ``t_stop``.
 
@@ -80,10 +83,17 @@ def transient(
             state; otherwise start from zeros + initial_conditions
             (a "UIC" start).
         gmin: Regularization conductance.
+        stop_after: ``(node, threshold, rising)`` crossings.  The run
+            ends after the step at which the last of them first occurs,
+            tested with the predicate :meth:`Waveform.crossings` uses;
+            if one never occurs, it runs to ``t_stop``.  The step grid
+            and each step are unchanged, so a stopped run is an exact
+            prefix of the full one and its first crossings are the same.
+            Empty (the default) always runs to ``t_stop``.
 
     Returns:
         A :class:`TransientResult` with every node and source current
-        sampled at every step.
+        sampled at every step taken.
     """
     if not (0 < dt < math.inf and 0 < t_stop < math.inf):
         raise AnalysisError("dt and t_stop must be positive and finite")
@@ -102,10 +112,17 @@ def transient(
                 raise AnalysisError(f"initial condition on unknown node {node!r}")
         plan.set_nodes(v, initial_conditions)
 
+    pending: List[Tuple[int, float, bool]] = []
+    for node, threshold, rising in stop_after:
+        if plan.index.get(node, -1) < 0:
+            raise AnalysisError(f"no recorded node {node!r}")
+        pending.append((plan.index[node], threshold, rising))
+
     n_steps = int(round(t_stop / dt))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
     history = np.zeros((n_steps + 1, plan.n))
     history[0] = v
+    last = n_steps
 
     for step in range(1, n_steps + 1):
         t = times[step]
@@ -117,6 +134,16 @@ def transient(
             half = newton_solve(plan, v_prev, t=t - dt / 2, dt=dt / 2, v_prev=v_prev)
             v = newton_solve(plan, half, t=t, dt=dt / 2, v_prev=half)
         history[step] = v
+        if pending:
+            pending = [
+                (i, threshold, rising)
+                for i, threshold, rising in pending
+                if not crossed(v_prev[i] - threshold, v[i] - threshold, rising)
+            ]
+            if not pending:
+                last = step
+                break
+    times, history = times[: last + 1], history[: last + 1]
 
     node_voltages = {
         node: history[:, idx] for node, idx in plan.index.items() if idx >= 0

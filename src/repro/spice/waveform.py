@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -163,6 +163,20 @@ class PieceWiseLinear:
 # ---------------------------------------------------------------------------
 # Simulated waveforms (outputs)
 # ---------------------------------------------------------------------------
+class Crossing(NamedTuple):
+    """A node passing through a threshold in one direction."""
+
+    node: str
+    threshold: float
+    rising: bool = True
+
+
+def crossed(a: float, b: float, rising: bool) -> bool:
+    """True when consecutive samples ``a`` then ``b``, each already
+    minus the threshold, cross it in the given direction."""
+    return (a < 0 <= b) if rising else (a > 0 >= b)
+
+
 class Waveform:
     """A sampled signal: times plus values, with measurement helpers."""
 
@@ -187,8 +201,7 @@ class Waveform:
         out: List[float] = []
         for i in range(1, v.size):
             a, b = v[i - 1], v[i]
-            crossed = (a < 0 <= b) if rising else (a > 0 >= b)
-            if crossed and a != b:
+            if crossed(a, b, rising):  # implies a != b
                 frac = -a / (b - a)
                 out.append(
                     float(

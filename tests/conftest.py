@@ -10,11 +10,36 @@ Random exploration uses Hypothesis's own pytest option and its built-in
 ``default`` profile:
 
     python -m pytest --hypothesis-profile=default
+
+The SPICE timing of the Si and M3D sub-arrays is a session fixture, so
+the suite characterizes each design once.
 """
 
+import pytest
 from hypothesis import settings
 
 settings.register_profile(
     "deterministic", derandomize=True, database=None, deadline=None, print_blob=True
 )
 settings.load_profile("deterministic")
+
+
+def _characterize(tech):
+    from repro.edram.bitcell import m3d_bitcell, si_bitcell
+    from repro.edram.subarray import SubArrayDesign
+    from repro.edram.timing import characterize
+
+    cell = {"si": si_bitcell, "m3d": m3d_bitcell}[tech]()
+    return characterize(SubArrayDesign(cell))
+
+
+@pytest.fixture(scope="session")
+def si_timing():
+    """SPICE timing of the Si sub-array, characterized once per session."""
+    return _characterize("si")
+
+
+@pytest.fixture(scope="session")
+def m3d_timing():
+    """SPICE timing of the M3D sub-array, characterized once per session."""
+    return _characterize("m3d")

@@ -110,6 +110,13 @@ class TestIsoline:
         x_iso = tradeoff_map.isoline_emb_scale(1.0)
         assert x_iso > 1.0
 
+    def test_infinite_nominal_ratio_rejected(self):
+        """Both points are finite, but their tCDP ratio overflows."""
+        with pytest.raises(CarbonModelError, match="not finite"):
+            TcdpTradeoffMap(
+                TcdpOperatingPoint(1e300, 0.0), TcdpOperatingPoint(0.0, 1e-300)
+            )
+
     def test_zero_operational_candidate(self):
         m = TcdpTradeoffMap(
             TcdpOperatingPoint(2.0, 0.0), TcdpOperatingPoint(1.0, 1.0)

@@ -152,6 +152,17 @@ class TestScenarioParameters:
         with pytest.raises(CarbonModelError, match="finite"):
             replace(nominal, **changes)
 
+    def test_finite_scenario_with_infinite_ratio_rejected(self, nominal):
+        """Finite components, but the baseline tCDP (~1e-322) as the
+        divisor overflows the relative tCDP; the Monte Carlo used to
+        count every sample of it as a loss."""
+        with pytest.raises(CarbonModelError, match="relative tCDP"):
+            replace(nominal, baseline_wafer_g=0.0, baseline_op_per_month_g=5e-324)
+
+    def test_zero_baseline_tcdp_rejected(self, nominal):
+        with pytest.raises(CarbonModelError, match="baseline tCDP"):
+            replace(nominal, baseline_wafer_g=0.0, baseline_op_per_month_g=0.0)
+
 
 class TestPaperPerturbations:
     def test_six_perturbations(self):

@@ -1,5 +1,6 @@
 """Tests for eDRAM timing closure and the Table II energy calibration."""
 
+import numpy as np
 import pytest
 
 from repro.edram.array import MemoryMacro
@@ -11,11 +12,13 @@ from repro.edram.energy import (
 )
 from repro.edram.subarray import SubArrayDesign
 from repro.edram.timing import (
-    characterize,
+    READ_SENSE_FRACTION,
+    _read_circuit,
     simulate_read,
     simulate_read_zero_disturb,
     simulate_write,
 )
+from repro.spice import transient
 
 
 @pytest.fixture(scope="module")
@@ -26,16 +29,6 @@ def si_model():
 @pytest.fixture(scope="module")
 def m3d_model():
     return EdramEnergyModel(MemoryMacro.for_cell(m3d_bitcell()))
-
-
-@pytest.fixture(scope="module")
-def si_timing():
-    return characterize(SubArrayDesign(si_bitcell()))
-
-
-@pytest.fixture(scope="module")
-def m3d_timing():
-    return characterize(SubArrayDesign(m3d_bitcell()))
 
 
 class TestTimingClosure:
@@ -59,8 +52,23 @@ class TestTimingClosure:
         assert sn.settle_value(0.05) > 0.9 * 0.7
 
     def test_read_discharges_bitline(self):
-        _delay, rbl = simulate_read(SubArrayDesign(m3d_bitcell()))
-        assert rbl.final() < 0.2
+        # Over the full 4 ns: simulate_read stops at the sense event.
+        cell = m3d_bitcell()
+        result = transient(
+            _read_circuit(SubArrayDesign(cell), cell.vdd_v),
+            t_stop=4e-9,
+            dt=2e-12,
+            initial_conditions={"rbl": cell.vdd_v, "mid": 0.0},
+            use_dc_start=False,
+        )
+        assert result.voltage("rbl").final() < 0.2
+
+    def test_read_waveform_ends_at_the_sense_event(self):
+        cell = m3d_bitcell()
+        _delay, rbl = simulate_read(SubArrayDesign(cell))
+        threshold = READ_SENSE_FRACTION * cell.vdd_v
+        assert rbl.final() <= threshold
+        assert np.all(rbl.values[:-1] > threshold)
 
     def test_read_zero_does_not_disturb(self):
         """Reading a stored '0' must leave the RBL near VDD."""

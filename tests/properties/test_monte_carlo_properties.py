@@ -1,15 +1,18 @@
-"""Property test: the Monte Carlo win map over the whole float range.
+"""Property tests: the scenario and its Monte Carlo win map over the
+whole float range.
 
 Every input the sweep takes (the scenario's fields, the sampling
 distribution, both scale axes) starts from a plausible value, and any
 few of them are then replaced by an arbitrary float64, NaN and the
 infinities included.  Each call either returns a finite map of
-probabilities in [0, 1] or raises :class:`CarbonModelError`.
+probabilities in [0, 1] or raises :class:`CarbonModelError`; likewise a
+scenario either has a finite relative tCDP at its nominal point or is
+refused at construction.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.uncertainty import ScenarioParameters, monte_carlo_win_probability
@@ -35,6 +38,39 @@ PLAUSIBLE = {
 }
 SAMPLING = ("lifetime_sigma_months", "ci_log_sigma", "yield_low", "yield_high")
 AXIS_LENGTH = 4
+
+
+#: The case-study candidate over a baseline whose tCDP is ~1e-322 g*s.
+TINY_BASELINE = {
+    "candidate_wafer_g": 1100300.0,
+    "candidate_dies_per_wafer": 606238.0,
+    "candidate_yield": 0.50,
+    "candidate_op_per_month_g": 0.1957,
+    "baseline_wafer_g": 0.0,
+    "baseline_dies_per_wafer": 299127.0,
+    "baseline_yield": 0.90,
+    "baseline_op_per_month_g": 5e-324,
+    "lifetime_months": 24.0,
+}
+
+
+@st.composite
+def scenario_fields(draw):
+    names = [name for name in PLAUSIBLE if name not in SAMPLING]
+    values = {name: draw(PLAUSIBLE[name]) for name in names}
+    for name in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
+        values[name] = draw(st.floats())
+    return values
+
+
+@example(values=TINY_BASELINE)
+@given(values=scenario_fields())
+def test_nominal_ratio_is_finite_or_the_scenario_is_refused(values):
+    try:
+        params = ScenarioParameters(**values)
+    except CarbonModelError:
+        return
+    assert np.isfinite(params.tradeoff_map().ratio(1, 1))
 
 
 @st.composite

@@ -14,7 +14,7 @@ from repro.edram.bitcell import m3d_bitcell, si_bitcell
 from repro.edram.retention import simulate_retention_decay
 from repro.edram.senseamp import simulate_sense
 from repro.edram.subarray import SubArrayDesign
-from repro.edram.timing import characterize, simulate_read_zero_disturb
+from repro.edram.timing import simulate_read_zero_disturb
 from repro.spice import Capacitor, Circuit, Dc, FetElement, VoltageSource, dc_operating_point
 
 RTOL = 1e-9
@@ -39,8 +39,9 @@ INVERTER_TRANSFER = {
 
 
 @pytest.mark.parametrize("tech", sorted(CELLS))
-def test_write_and_read_delay(tech):
-    timing = characterize(SubArrayDesign(CELLS[tech]()))
+def test_write_and_read_delay(tech, request):
+    # characterize() of each cell, shared with the rest of the session.
+    timing = request.getfixturevalue(f"{tech}_timing")
     want_write, want_read = TIMING[tech]
     assert timing.write_delay_s == pytest.approx(want_write, rel=RTOL)
     assert timing.read_delay_s == pytest.approx(want_read, rel=RTOL)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.devices import si_nfet, si_pfet
@@ -19,7 +20,7 @@ from repro.spice import (
     transient,
 )
 from repro.spice.dc import dc_sweep
-from repro.spice.waveform import delay_between
+from repro.spice.waveform import Crossing, delay_between
 
 
 class TestNetlist:
@@ -223,3 +224,57 @@ class TestTransient:
         e2 = discharge_then_charge(2e-15)
         # Slope between the two loads is C*V^2 per farad.
         assert (e2 - e1) == pytest.approx(1e-15 * 0.49, rel=0.15)
+
+
+class TestStopAfter:
+    """``transient(stop_after=...)`` ends the run at measured crossings."""
+
+    @staticmethod
+    def _assert_prefix(stopped, full):
+        n = stopped.times.size
+        assert np.array_equal(stopped.times, full.times[:n])
+        for name, values in stopped.node_voltages.items():
+            assert np.array_equal(values, full.node_voltages[name][:n])
+        for name, values in stopped.branch_currents.items():
+            assert np.array_equal(values, full.branch_currents[name][:n])
+
+    def test_a_stop_that_never_fires_runs_the_full_window(self):
+        c = _inverter(Pulse(0.0, 0.7, delay=0.2e-9, rise=5e-12, width=2e-9))
+        full = transient(c, 1e-9, 1e-12)
+        # The output only falls inside this window.
+        never = transient(c, 1e-9, 1e-12, stop_after=[Crossing("out", 0.35)])
+        assert never.times.size == full.times.size
+        self._assert_prefix(never, full)
+
+    def test_stop_keeps_a_prefix_with_the_same_crossings(self):
+        c = _inverter(Pulse(0.0, 0.7, delay=0.2e-9, rise=5e-12, width=2e-9))
+        full = transient(c, 1e-9, 1e-12)
+        events = [Crossing("in", 0.35), Crossing("out", 0.35, rising=False)]
+        stopped = transient(c, 1e-9, 1e-12, stop_after=events)
+        assert stopped.times.size < full.times.size
+        self._assert_prefix(stopped, full)
+        # The last sample is the first one past the later crossing.
+        out = stopped.voltage("out")
+        assert out.final() <= 0.35 < out.values[-2]
+        for node, threshold, rising in events:
+            assert stopped.voltage(node).first_crossing(
+                threshold, rising
+            ) == full.voltage(node).first_crossing(threshold, rising)
+
+    def test_a_stop_at_step_one_keeps_two_samples(self):
+        c = Circuit("rc")
+        c.add(VoltageSource("vin", "in", "0", Pulse(0.0, 1.0, delay=0.0, rise=1e-12)))
+        c.add(Resistor("r1", "in", "out", 1e3))
+        c.add(Capacitor("c1", "out", "0", 1e-12))
+        res = transient(
+            c, 1e-9, 1e-11, use_dc_start=False, stop_after=[Crossing("in", 0.5)]
+        )
+        assert res.times.size == 2
+        assert res.voltage("in").first_crossing(0.5) == pytest.approx(0.5e-11)
+
+    @pytest.mark.parametrize("node", ["nope", "0"])
+    def test_a_stop_on_an_unrecorded_node_is_rejected(self, node):
+        with pytest.raises(AnalysisError, match="no recorded node"):
+            transient(
+                _inverter(Dc(0.0)), 1e-9, 1e-12, stop_after=[Crossing(node, 0.1)]
+            )
