@@ -12,8 +12,11 @@ Random exploration uses Hypothesis's own pytest option and its built-in
     python -m pytest --hypothesis-profile=default
 
 The SPICE timing of the Si and M3D sub-arrays is a session fixture, so
-the suite characterizes each design once.
+the suite characterizes each design once.  So is the lint report of the
+live ``src/repro`` tree, which every live-tree lint assertion reads.
 """
+
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -43,3 +46,15 @@ def si_timing():
 def m3d_timing():
     """SPICE timing of the M3D sub-array, characterized once per session."""
     return _characterize("m3d")
+
+
+@pytest.fixture(scope="session")
+def live_lint_report():
+    """Lint report of ``src/repro`` against the committed baseline,
+    built once per session."""
+    from repro.quality import BASELINE_FILENAME, Baseline, LintEngine
+
+    repo_root = Path(__file__).resolve().parent.parent
+    baseline = Baseline.load(repo_root / BASELINE_FILENAME)
+    engine = LintEngine(baseline=baseline)
+    return engine.lint_paths([repo_root / "src" / "repro"], root=repo_root)

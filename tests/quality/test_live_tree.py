@@ -1,35 +1,29 @@
-"""The committed tree must be lint-clean modulo the committed baseline."""
+"""The committed tree must be lint-clean modulo the committed baseline.
+
+The report of ``src/repro`` is the session fixture ``live_lint_report``
+(``tests/conftest.py``), shared with the other live-tree checks.
+"""
 
 from pathlib import Path
-
-import pytest
 
 from repro.quality import BASELINE_FILENAME, Baseline, LintEngine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
-SRC = REPO_ROOT / "src" / "repro"
-
-
-@pytest.fixture(scope="module")
-def report():
-    baseline = Baseline.load(REPO_ROOT / BASELINE_FILENAME)
-    engine = LintEngine(baseline=baseline)
-    return engine.lint_paths([SRC], root=REPO_ROOT)
 
 
 class TestLiveTree:
-    def test_tree_is_lint_clean_modulo_baseline(self, report):
-        rendered = "\n".join(f.render() for f in report.findings)
-        assert report.findings == [], (
+    def test_tree_is_lint_clean_modulo_baseline(self, live_lint_report):
+        rendered = "\n".join(f.render() for f in live_lint_report.findings)
+        assert live_lint_report.findings == [], (
             f"new repro-lint findings (fix, pragma with a justification, "
             f"or regenerate the baseline via "
             f"scripts/repro_lint_baseline.py):\n{rendered}"
         )
 
-    def test_whole_package_was_scanned(self, report):
-        assert report.files_checked > 100
+    def test_whole_package_was_scanned(self, live_lint_report):
+        assert live_lint_report.files_checked > 100
 
-    def test_committed_baseline_is_current(self, report):
+    def test_committed_baseline_is_current(self, live_lint_report):
         """Every baseline entry still matches a live finding.
 
         Stale entries mean someone fixed a grandfathered finding
@@ -37,7 +31,7 @@ class TestLiveTree:
         file should shrink to match reality.
         """
         committed = Baseline.load(REPO_ROOT / BASELINE_FILENAME)
-        assert len(report.baselined) == len(committed), (
+        assert len(live_lint_report.baselined) == len(committed), (
             "baseline is stale; regenerate with "
             "`python scripts/repro_lint_baseline.py`"
         )

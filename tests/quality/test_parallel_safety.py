@@ -1,7 +1,6 @@
 """RPL008 fixtures: picklability and share-nothing for pool callables."""
 
 import textwrap
-from pathlib import Path
 
 import pytest
 
@@ -257,13 +256,14 @@ class TestVectorWorkers:
 
 
 class TestLiveCallSites:
-    def test_every_existing_src_call_site_passes(self):
-        """Acceptance: RPL008 is clean over the real runtime + core."""
-        from repro.quality import RULE_REGISTRY
-
-        repo = Path(__file__).resolve().parents[2]
-        engine = LintEngine(
-            rules=[RULE_REGISTRY["RPL008"]()], baseline=Baseline()
-        )
-        report = engine.lint_paths([repo / "src"], root=repo)
-        assert report.findings == []
+    def test_every_existing_src_call_site_passes(self, live_lint_report):
+        """Acceptance: RPL008 is clean over the real runtime + core,
+        with no finding grandfathered by the baseline either."""
+        assert "RPL008" in [rule.rule_id for rule in LintEngine().rules]
+        assert live_lint_report.files_checked > 0
+        rpl008 = [
+            f
+            for f in live_lint_report.findings + live_lint_report.baselined
+            if f.rule == "RPL008"
+        ]
+        assert rpl008 == []
