@@ -4,14 +4,17 @@
 Runs the full rule set over ``src/repro`` from the repository root and
 writes every current finding into ``repro-lint-baseline.json`` (sorted
 records, sorted keys, trailing newline), so regeneration on any machine
-produces a byte-identical file for an identical tree.
+produces a byte-identical file for an identical tree.  Record messages
+carry no line numbers, so an edit that only moves lines leaves the file
+current.
 
 Usage::
 
     python scripts/repro_lint_baseline.py [--check]
 
 ``--check`` regenerates in memory and exits 1 if the committed file is
-out of date instead of rewriting it.
+out of date instead of rewriting it: any added or removed fingerprint,
+or a changed rule, path, snippet, count or message.
 """
 
 import argparse
@@ -25,7 +28,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.quality import BASELINE_FILENAME, Baseline, LintEngine  # noqa: E402
 
 
-def main(argv=None) -> int:
+def main(argv=None, root: Path = REPO_ROOT) -> int:
+    """Regenerate (or with ``--check``, verify) the baseline of the
+    ``src/repro`` tree under ``root``."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--check",
@@ -34,9 +39,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    baseline_path = REPO_ROOT / BASELINE_FILENAME
+    baseline_path = root / BASELINE_FILENAME
     engine = LintEngine(baseline=Baseline())  # no suppression: see it all
-    report = engine.lint_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
+    report = engine.lint_paths([root / "src" / "repro"], root=root)
     fresh = Baseline.from_findings(report.findings)
 
     if args.check:

@@ -1,6 +1,9 @@
 """Simulator-facing FET interface.
 
-A :class:`FET` maps terminal voltages to a drain current and exposes the
+A :class:`FET` maps terminal voltages to a drain current and its
+conductances gm = dI/dvgs and gds = dI/dvds, all three from one
+evaluation of the compact model's analytic partials (what the circuit
+simulator's Newton linearization stamps).  It also exposes the
 figure-of-merit queries the paper's Table I contrasts: effective drive
 current (I_EFF), on-current, and off-current.  Sign conventions follow
 SPICE: drain current flows into the drain for NMOS in forward operation;
@@ -24,8 +27,8 @@ class Polarity(enum.Enum):
 class FET(abc.ABC):
     """Abstract FET: a width-normalized compact model times a width.
 
-    Subclasses implement :meth:`_ids_forward` for VGS/VDS >= 0 in NMOS
-    convention; this base class handles polarity reflection and
+    Subclasses implement :meth:`_ids_gm_gds_forward_per_um` for VGS/VDS
+    >= 0 in NMOS convention; this base class handles polarity reflection and
     source/drain symmetry so the circuit simulator can apply arbitrary
     terminal voltages.
     """
@@ -40,8 +43,11 @@ class FET(abc.ABC):
 
     # -- to be provided by subclasses -----------------------------------
     @abc.abstractmethod
-    def _ids_forward_per_um(self, vgs: float, vds: float) -> float:
-        """Drain current (A/um) for NMOS-convention vgs, vds >= 0."""
+    def _ids_gm_gds_forward_per_um(
+        self, vgs: float, vds: float
+    ) -> Tuple[float, float, float]:
+        """(I, dI/dvgs, dI/dvds) per um of width (A/um, S/um, S/um) for
+        NMOS-convention vgs and vds >= 0, from one model evaluation."""
 
     @abc.abstractmethod
     def gate_capacitance_f(self) -> float:
@@ -52,28 +58,39 @@ class FET(abc.ABC):
     def vdd_v(self) -> float:
         """Nominal supply voltage of the technology."""
 
+    def _ids_forward_per_um(self, vgs: float, vds: float) -> float:
+        """Drain current (A/um) for NMOS-convention vgs, vds >= 0."""
+        return self._ids_gm_gds_forward_per_um(vgs, vds)[0]
+
     # -- terminal-level current ------------------------------------------
     def ids(self, vgs: float, vds: float) -> float:
-        """Drain-source current (A) for arbitrary terminal voltages.
+        """Drain-source current (A) for arbitrary terminal voltages: the
+        first element of :meth:`ids_gm_gds`."""
+        return self.ids_gm_gds(vgs, vds)[0]
+
+    def ids_gm_gds(self, vgs: float, vds: float) -> Tuple[float, float, float]:
+        """(I, gm, gds) = (I, dI/dvgs, dI/dvds) in A, S, S, for arbitrary
+        terminal voltages, from one model evaluation.
 
         Handles PMOS reflection and reverse (vds < 0) operation through
-        source/drain exchange: I(vgs, vds<0) = -I(vgs - vds, -vds).
+        source/drain exchange.  With f the forward per-width model and
+        f1, f2 its partials in vgs and vds:
+
+            I(vgs, vds<0) = -f(vgs - vds, -vds)
+            gm = -f1,  gds = f1 + f2
+
+        Reflection flips the sign of the current and of both voltages,
+        so it leaves gm and gds unchanged.
         """
         sign = self._sign
+        width = self.width_um
         vgs_n, vds_n = sign * vgs, sign * vds
         if vds_n >= 0:
-            current = self._ids_forward_per_um(vgs_n, vds_n)
-        else:
-            # Exchange source and drain: gate-to-(new)source = vgs - vds.
-            current = -self._ids_forward_per_um(vgs_n - vds_n, -vds_n)
-        return sign * current * self.width_um
-
-    def conductances(self, vgs: float, vds: float, dv: float) -> Tuple[float, float]:
-        """(gm, gds) for MNA stamping: central differences of :meth:`ids`."""
-        ids = self.ids
-        gm = (ids(vgs + dv, vds) - ids(vgs - dv, vds)) / (2 * dv)
-        gds = (ids(vgs, vds + dv) - ids(vgs, vds - dv)) / (2 * dv)
-        return gm, gds
+            current, f1, f2 = self._ids_gm_gds_forward_per_um(vgs_n, vds_n)
+            return sign * current * width, f1 * width, f2 * width
+        # Exchange source and drain: gate-to-(new)source = vgs - vds.
+        current, f1, f2 = self._ids_gm_gds_forward_per_um(vgs_n - vds_n, -vds_n)
+        return sign * -current * width, -f1 * width, (f1 + f2) * width
 
     # -- figures of merit --------------------------------------------------
     def on_current_a(self) -> float:

@@ -16,6 +16,21 @@ It is continuous across weak and strong inversion and across linear and
 saturation regions — exactly the property that makes it suitable for the
 eDRAM transient simulations in Sec. III-B step 2, and the model family the
 paper uses for CNFETs [27] and IGZO FETs [37], [38].
+
+Like the compact models a SPICE simulator loads, it gives its partial
+derivatives analytically, from the same evaluation as the current
+(with eta the softplus argument and F_sat' = dF_sat/dV_DS):
+
+    dI/dV_GS = C_inv * sigmoid(eta) * v_x0 * F_sat
+    dI/dV_DS = delta * dI/dV_GS + Q_ix0 * v_x0 * F_sat' + d(floor)/dV_DS
+    F_sat'   = (1 + (V_DS / V_dsat)^beta)^(-1/beta - 1) / V_dsat
+
+sigmoid(eta) = d softplus / d eta = 1 - exp(-softplus) is formed from
+the softplus itself, so it stays overflow-safe on both branches; the
+floor is the leakage floor i_floor * (1 - exp(-V_DS / phi_t)).  These
+are the forward (V_DS >= 0) partials f1 and f2; for reverse operation,
+:meth:`FET.ids_gm_gds` exchanges source and drain, which gives
+gm = -f1 and gds = f1 + f2.
 """
 
 from __future__ import annotations
@@ -98,14 +113,16 @@ class VSParameters:
 
     @cached_property
     def ids_terms(self) -> "tuple[float, ...]":
-        """``_ids_forward_per_um``'s bias-independent terms, in its unpack
-        order; cached on the params, which V_T-shift Monte Carlo swaps on a
-        FET.  Reading the attributes per call makes ``FET.ids`` 1.7x slower."""
+        """``_ids_gm_gds_forward_per_um``'s bias-independent terms, in its
+        unpack order; cached on the params, which V_T-shift Monte Carlo
+        swaps on a FET.  Reading the attributes per call makes ``FET.ids``
+        1.7x slower."""
         phi_t = self.phi_t
         return (self.vt0_v, self.dibl_v_per_v, self.n_ss * phi_t,
                 self.c_inv_f_per_um2 * self.n_ss * phi_t, self.l_gate_um,
                 max(self.v_dsat_v, 1e-6), self.beta_sat, 1.0 / self.beta_sat,
-                self.v_x0_cm_per_s * 1e4, self.i_leak_floor_a_per_um, phi_t)
+                self.v_x0_cm_per_s * 1e4, self.i_leak_floor_a_per_um, phi_t,
+                self.c_inv_f_per_um2)
 
 
 class VirtualSourceFET(FET):
@@ -125,13 +142,15 @@ class VirtualSourceFET(FET):
     def vdd_v(self) -> float:
         return self.params.vdd_v
 
-    def _ids_forward_per_um(self, vgs: float, vds: float) -> float:
-        if vds == 0.0:  # repro-lint: disable=RPL004 - exact singular point
-            return 0.0
+    def _ids_gm_gds_forward_per_um(
+        self, vgs: float, vds: float
+    ) -> "tuple[float, float, float]":
         (vt0, dibl, n_phi_t, c_n_phi_t, l_gate, vdsat, beta, inv_beta,
-         v_um_per_s, i_floor, phi_t) = self.params.ids_terms
+         v_um_per_s, i_floor, phi_t, c_inv) = self.params.ids_terms
         ratio = vds / vdsat
-        f_sat = ratio / (1.0 + ratio**beta) ** inv_beta
+        soft_sat = 1.0 + ratio**beta
+        sat_norm = soft_sat**inv_beta
+        f_sat = ratio / sat_norm
         # Virtual-source charge with DIBL; softplus, overflow-safe.
         eta = (vgs - (vt0 - dibl * vds)) / n_phi_t
         softplus = eta if eta > 40.0 else math.log1p(math.exp(eta))
@@ -142,7 +161,18 @@ class VirtualSourceFET(FET):
         # The leakage floor only matters in the off state; make it decay
         # smoothly so I(vds=0) remains 0.
         floor = i_floor * (1.0 - math.exp(-vds / phi_t))
-        return intrinsic + floor
+        # dI/dvgs through the charge: d softplus / d eta = 1 - exp(-softplus).
+        slope = -math.expm1(-softplus)  # repro-lint: disable=RPL013 - scalar-only model, as the softplus line above
+        gm = c_inv * slope * v_um_per_s * f_sat
+        # dI/dvds: DIBL moves eta as vgs does, and F_sat and the floor vary;
+        # i_floor - floor is i_floor * exp(-vds / phi_t).
+        f_sat_slope = 1.0 / (sat_norm * soft_sat * vdsat)
+        gds = (dibl * gm + q_per_um2 * v_um_per_s * f_sat_slope
+               + (i_floor - floor) / phi_t)
+        # I(vds = 0) is exactly 0 whatever the charge; the slopes are not.
+        if vds == 0.0:  # repro-lint: disable=RPL004 - exact singular point
+            return 0.0, gm, gds
+        return intrinsic + floor, gm, gds
 
     def gate_capacitance_f(self) -> float:
         return self.params.c_gate_f_per_um * self.width_um

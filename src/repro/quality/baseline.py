@@ -10,7 +10,10 @@ relative path, and the stripped source line — so pure line-number
 drift does not resurrect them, but editing a flagged line does.
 Counts are per-fingerprint: if a file holds two identical findings and
 one is fixed, the remaining entry still matches while a third new copy
-would not.
+would not.  Each record keeps the finding's message for reviewers, with
+its line references dropped (``flow.py:117`` becomes ``flow.py``, and
+``[line 12]`` goes), so an edit that only moves lines leaves the file
+unchanged.
 
 The file format is deterministic JSON (sorted records, sorted keys,
 trailing newline) so regeneration is reproducible and diffs stay
@@ -20,6 +23,7 @@ reviewable.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +35,14 @@ from repro.quality.findings import Finding
 BASELINE_FILENAME = "repro-lint-baseline.json"
 
 _SCHEMA = "repro-lint-baseline/1"
+
+#: Line references in rule messages: ``file.py:NNN`` and `` [line N]``.
+_LINE_REFS = re.compile(r"(?<=\.py):\d+| \[line \d+\]")
+
+
+def message_without_lines(message: str) -> str:
+    """A finding's message with its line references dropped."""
+    return _LINE_REFS.sub("", message)
 
 
 @dataclass
@@ -79,7 +91,7 @@ class Baseline:
                     "rule": finding.rule,
                     "path": finding.path,
                     "snippet": finding.snippet,
-                    "message": finding.message,
+                    "message": message_without_lines(finding.message),
                     "count": 1,
                 }
             else:

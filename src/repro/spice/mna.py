@@ -3,26 +3,34 @@
 A :class:`StampPlan` compiles a circuit once per analysis.  The linear
 elements become two constant matrices: ``G`` (resistor conductances,
 voltage-source incidence and gmin) and ``C`` (capacitors and the FET
-gate caps).  Each Newton iteration then evaluates only the sources and
-the FETs:
+gate caps).  A backward-Euler step of size ``dt`` from ``v_prev`` then
+solves
 
-    residual = G v + (C/dt) (v - v_prev) + s(t) + i_fet(v)
-    jacobian = G + C/dt + d i_fet / dv
+    A v + b + i_fet(v) = 0,   A = G + C/dt,   b = s(t) - (C/dt) v_prev
 
-DC analysis drops the ``C`` terms.  A node's residual is the sum of the
-currents flowing OUT of it; Newton drives every residual to zero.  The
-two have separate methods: line-search trials need only the residual;
-the Jacobian (four more FET calls per device) is built only for a solve.
-Ground is a padded slot at index ``n``: the plan's arrays give it a row
-and a column, which both methods discard, so no stamp has to test for it.
+where everything but ``i_fet`` is affine in ``v``: the plan caches ``A``
+per ``dt`` in a :class:`StepSystem`, and :func:`newton_solve` forms the
+step constant ``b`` once per call.  DC analysis is the same system with
+``A = G`` and ``b = s(t)``.  A node's residual is the sum of the
+currents flowing OUT of it; Newton drives every residual to zero.
+
+A Newton linearization is one pass over the FETs: each device returns
+its current and its analytic gm and gds from one model evaluation
+(:meth:`repro.devices.fet.FET.ids_gm_gds`), which give the residual and
+the Jacobian ``A + d i_fet / dv`` together.  Line-search trials need
+only the residual, so they evaluate only the currents.  Ground is a
+padded slot at index ``n``: the cached arrays give it a row (and the
+Jacobian a column), which both methods discard, so no stamp has to test
+for it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
+from repro.devices.fet import FET
 from repro.errors import ConvergenceError, NetlistError
 from repro.spice.elements import (
     Capacitor,
@@ -42,9 +50,6 @@ MAX_NEWTON_STEP_V = 0.5
 
 #: Step scales tried by the Newton line search, largest first.
 LINE_SEARCH_SCALES = tuple(0.5**k for k in range(12))
-
-#: Voltage step of the central differences that give a FET's gm and gds.
-FET_DV = 1e-5
 
 
 def _stamp_pair(matrix: np.ndarray, a: int, b: int, value: float) -> None:
@@ -111,19 +116,16 @@ class StampPlan:
         nodes = np.arange(len(circuit.nodes))
         g[nodes, nodes] += gmin
         self._g = g
-        # G @ v needs no ground column: the ground voltage is zero.
-        self._g_rows = np.ascontiguousarray(g[:, :n])
         self._c = c
-        self._companions: Dict[float, "tuple[np.ndarray, np.ndarray]"] = {}
+        self._systems: Dict[Optional[float], StepSystem] = {}
 
-    def _companion(self, dt: float) -> "tuple[np.ndarray, np.ndarray]":
-        """(C/dt without the ground column, G + C/dt), cached per ``dt``."""
-        cached = self._companions.get(dt)
-        if cached is None:
-            c_dt = self._c / dt
-            cached = (np.ascontiguousarray(c_dt[:, : self.n]), self._g + c_dt)
-            self._companions[dt] = cached
-        return cached
+    def system(self, dt: Optional[float]) -> "StepSystem":
+        """The step system for time step ``dt`` (None: DC), cached."""
+        system = self._systems.get(dt)
+        if system is None:
+            c_dt = None if dt is None else self._c / dt
+            system = self._systems[dt] = StepSystem(self.n, self.fets, self._g, c_dt)
+        return system
 
     def sources(self, t: float, scale: float = 1.0) -> np.ndarray:
         """Source term ``s(t)``, voltage sources multiplied by ``scale``."""
@@ -135,43 +137,6 @@ class StampPlan:
             s[a] += i
             s[b] -= i
         return s
-
-    def residual(
-        self,
-        v: np.ndarray,
-        s: np.ndarray,
-        dt: Optional[float],
-        v_prev: Optional[np.ndarray],
-    ) -> "tuple[np.ndarray, List[float]]":
-        """(residual at ``v`` with source term ``s``, node voltages plus
-        the ground slot for :meth:`jacobian`); ``dt`` is None in DC."""
-        if dt is None:
-            residual = self._g_rows @ v + s
-        else:
-            residual = self._g_rows @ v + self._companion(dt)[0] @ (v - v_prev) + s
-        volts = v.tolist()
-        volts.append(0.0)  # the ground slot
-        for fet, d, g, s_ in self.fets:
-            vs = volts[s_]
-            i = fet.ids(volts[g] - vs, volts[d] - vs)
-            # The channel current flows d -> s inside the device.
-            residual[d] += i
-            residual[s_] -= i
-        return residual[: self.n], volts
-
-    def jacobian(self, volts: List[float], dt: Optional[float]) -> np.ndarray:
-        """d residual / d v at the node voltages :meth:`residual` returned."""
-        jacobian = (self._g if dt is None else self._companion(dt)[1]).copy()
-        for fet, d, g, s_ in self.fets:
-            vs = volts[s_]
-            gm, gds = fet.conductances(volts[g] - vs, volts[d] - vs, FET_DV)
-            jacobian[d, g] += gm
-            jacobian[d, d] += gds
-            jacobian[d, s_] += -gm - gds
-            jacobian[s_, g] -= gm
-            jacobian[s_, d] -= gds
-            jacobian[s_, s_] -= -gm - gds
-        return jacobian[: self.n, : self.n]
 
     def set_nodes(self, v: np.ndarray, voltages: Dict[str, float]) -> None:
         """Write node -> voltage into ``v``, skipping ground and names
@@ -186,6 +151,71 @@ class StampPlan:
         out = {GROUND: 0.0}
         out.update((node, float(v[i])) for node, i in self.index.items() if i >= 0)
         return out
+
+
+class StepSystem:
+    """The MNA equations of one :class:`StampPlan` at one time step.
+
+    Holds the rows of ``A = G + C/dt`` and of ``C/dt`` without the ground
+    column (the ground voltage is zero), and ``A`` padded with the ground
+    row and column as the base every Jacobian is stamped on.  For DC,
+    ``A = G`` and there is no ``C/dt``.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        fets: "list[tuple[FET, int, int, int]]",
+        g: np.ndarray,
+        c_dt: Optional[np.ndarray],
+    ) -> None:
+        self.n = n
+        self.fets = fets
+        a = g if c_dt is None else g + c_dt
+        self._a_rows = np.ascontiguousarray(a[:, :n])
+        self._c_dt_rows = None if c_dt is None else np.ascontiguousarray(c_dt[:, :n])
+        self._jacobian_base = a
+
+    def constant(self, s: np.ndarray, v_prev: Optional[np.ndarray]) -> np.ndarray:
+        """The step constant ``b = s - (C/dt) v_prev`` (``s`` in DC)."""
+        if self._c_dt_rows is None:
+            return s
+        return s - self._c_dt_rows @ v_prev
+
+    def residual(self, v: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``A v + b + i_fet(v)``: one FET current per device."""
+        residual = self._a_rows @ v + b
+        volts = v.tolist()
+        volts.append(0.0)  # the ground slot
+        for fet, d, g, s in self.fets:
+            vs = volts[s]
+            i = fet.ids(volts[g] - vs, volts[d] - vs)
+            # The channel current flows d -> s inside the device.
+            residual[d] += i
+            residual[s] -= i
+        return residual[: self.n]
+
+    def linearize(
+        self, v: np.ndarray, b: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """(residual, Jacobian) at ``v`` from one pass over the FETs."""
+        residual = self._a_rows @ v + b
+        jacobian = self._jacobian_base.copy()
+        volts = v.tolist()
+        volts.append(0.0)  # the ground slot
+        for fet, d, g, s in self.fets:
+            vs = volts[s]
+            i, gm, gds = fet.ids_gm_gds(volts[g] - vs, volts[d] - vs)
+            residual[d] += i
+            residual[s] -= i
+            jacobian[d, g] += gm
+            jacobian[d, d] += gds
+            jacobian[d, s] -= gm + gds
+            jacobian[s, g] -= gm
+            jacobian[s, d] -= gds
+            jacobian[s, s] += gm + gds
+        n = self.n
+        return residual[:n], jacobian[:n, :n]
 
 
 def newton_solve(
@@ -208,35 +238,36 @@ def newton_solve(
     Raises :class:`ConvergenceError` if the iteration limit is reached.
     """
     name = plan.circuit.name
-    s = plan.sources(t, source_scale)
+    system = plan.system(dt)
+    b = system.constant(plan.sources(t, source_scale), v_prev)
     v = v0
-    residual, volts = plan.residual(v, s, dt, v_prev)
-    residual_norm = float(np.abs(residual).max())
     for _iteration in range(max_iterations):
+        residual, jacobian = system.linearize(v, b)
+        residual_norm = float(np.abs(residual).max())
         try:
-            delta = np.linalg.solve(plan.jacobian(volts, dt), -residual)
+            delta = np.linalg.solve(jacobian, -residual)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"{name!r}: singular Jacobian at t={t:g}") from exc
         # Damp large steps to keep exponential devices stable.  The cap
         # scales with the current solution magnitude so linear circuits
-        # with large node voltages still converge geometrically.
-        step_cap = max(MAX_NEWTON_STEP_V, 2.0 * float(np.abs(v).max()))
+        # with large node voltages still converge geometrically; it is
+        # never below MAX_NEWTON_STEP_V, so smaller steps skip it.
         max_step = float(np.abs(delta).max())
-        if max_step > step_cap:
-            damping = step_cap / max_step
-            delta *= damping
-            max_step *= damping  # exactly max|delta|: rounding is monotone
+        if max_step > MAX_NEWTON_STEP_V:
+            step_cap = max(MAX_NEWTON_STEP_V, 2.0 * float(np.abs(v).max()))
+            if max_step > step_cap:
+                damping = step_cap / max_step
+                delta *= damping
+                max_step *= damping  # exactly max|delta|: rounding is monotone
         # Backtracking line search: stacked exponential devices make
         # full Newton steps oscillate; halve until the residual improves.
         # When every trial is worse, the last one evaluated is taken.
         for scale in LINE_SEARCH_SCALES:
             v_try = v + scale * delta
-            residual, volts = plan.residual(v_try, s, dt, v_prev)
-            norm_try = float(np.abs(residual).max())
+            norm_try = float(np.abs(system.residual(v_try, b)).max())
             if norm_try <= residual_norm or norm_try < abstol:
                 break
         v = v_try
-        residual_norm = norm_try
         # scale * max_step is max|scale * delta| exactly: scale is 2^-k.
         if scale * max_step < vtol and norm_try < abstol:
             return v

@@ -134,8 +134,11 @@ def transient(
     history[0] = v
     last = n_steps
 
+    # Python floats (the same values): the sources' drives then do float
+    # arithmetic rather than numpy-scalar arithmetic.
+    step_times = times.tolist()
     for step in range(1, n_steps + 1):
-        t = times[step]
+        t = step_times[step]
         v_prev = history[step - 1]
         if step >= 3:
             guess = 3.0 * (v_prev - history[step - 2]) + history[step - 3]

@@ -1,9 +1,13 @@
 """Tests for the virtual-source compact model."""
 
 import math
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.devices import cnfet_nfet, cnfet_pfet, igzo_nfet
 from repro.devices.fet import Polarity
 from repro.devices.virtual_source import VirtualSourceFET, VSParameters
 from repro.devices.silicon import SI_NMOS_PARAMS, si_nfet, si_pfet
@@ -131,18 +135,80 @@ class TestFiguresOfMerit:
         )
 
     def test_transconductance_positive(self, nfet):
-        gm, gds = nfet.conductances(0.7, 0.35, 1e-4)
+        _ids, gm, gds = nfet.ids_gm_gds(0.7, 0.35)
         assert gm > 0
         assert gds > 0
-
-    def test_conductances_are_central_differences(self, pfet):
-        dv = 1e-5
-        gm, gds = pfet.conductances(-0.5, -0.3, dv)
-        assert gm == (pfet.ids(-0.5 + dv, -0.3) - pfet.ids(-0.5 - dv, -0.3)) / (2 * dv)
-        assert gds == (pfet.ids(-0.5, -0.3 + dv) - pfet.ids(-0.5, -0.3 - dv)) / (2 * dv)
 
     def test_vt_shift_reduces_leakage(self):
         low = si_nfet("a", 1.0, vt_shift_v=0.0)
         high = si_nfet("b", 1.0, vt_shift_v=0.1)
         assert high.off_current_a() < low.off_current_a()
         assert high.on_current_a() < low.on_current_a()
+
+
+_FACTORIES = [si_nfet, si_pfet, igzo_nfet, cnfet_nfet, cnfet_pfet]
+
+
+def _assert_gm_gds_are_derivatives(fet, vgs, vds):
+    """``ids_gm_gds`` returns ``ids`` bit for bit, and gm and gds match
+    central differences of ``ids``.
+
+    The stencil is kept clear of vds = 0, where the reverse-mode
+    reflection makes the second derivative jump, except at vds = 0
+    itself.  The absolute tolerance is the differences' cancellation
+    error, a few ulps of the current over the step: a floor-dominated
+    bias reads exactly 0 numerically while its analytic gm is ~1e-22 S.
+    It also admits values below the smallest normal float (vds ~ 1e-300
+    makes gm subnormal), where products keep only a few digits.
+    """
+    current, gm, gds = fet.ids_gm_gds(vgs, vds)
+    assert current == fet.ids(vgs, vds)
+    dv = 1e-6 if abs(vds) >= 1e-5 else 1e-9
+    stencil = {
+        "gm": ((vgs + dv, vds), (vgs - dv, vds)),
+        "gds": ((vgs, vds + dv), (vgs, vds - dv)),
+    }
+    for name, got in (("gm", gm), ("gds", gds)):
+        upper, lower = (fet.ids(*bias) for bias in stencil[name])
+        reference = (upper - lower) / (2 * dv)
+        atol = 8 * sys.float_info.epsilon * max(abs(upper), abs(lower)) / dv
+        atol += sys.float_info.min
+        assert abs(got - reference) <= 1e-6 * abs(reference) + atol, (
+            name, got, reference,
+        )
+
+
+class TestAnalyticConductances:
+    @given(
+        make=st.sampled_from(_FACTORIES),
+        vgs=st.floats(-1.5, 1.5),
+        vds=st.one_of(
+            st.floats(-1.5, 1.5), st.sampled_from([0.0, 1e-7, -1e-7])
+        ),
+    )
+    def test_gm_gds_match_central_differences(self, make, vgs, vds):
+        _assert_gm_gds_are_derivatives(make("m", 1.0), vgs, vds)
+
+    @pytest.mark.parametrize("make", _FACTORIES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("vds_n", [0.0, 1e-7, -1e-7, 0.4])
+    def test_special_biases(self, make, vds_n):
+        fet = make("m", 1.0)
+        sign = fet.polarity.value
+        _assert_gm_gds_are_derivatives(fet, sign * 0.5, sign * vds_n)
+
+    @pytest.mark.parametrize("make", _FACTORIES, ids=lambda f: f.__name__)
+    def test_strong_inversion_branch(self, make):
+        """eta > 40 takes the softplus's linear branch."""
+        fet = make("m", 1.0)
+        p = fet.params
+        vgs_n, vds_n = 2.5, 0.3
+        eta = (vgs_n - (p.vt0_v - p.dibl_v_per_v * vds_n)) / (p.n_ss * p.phi_t)
+        assert eta > 40.0
+        sign = fet.polarity.value
+        _assert_gm_gds_are_derivatives(fet, sign * vgs_n, sign * vds_n)
+
+    def test_reverse_mode_exchanges_source_and_drain(self, nfet):
+        """I(vgs, vds<0) = -f(vgs - vds, -vds): gm = -f1, gds = f1 + f2."""
+        current, gm, gds = nfet.ids_gm_gds(0.5, -0.2)
+        f, f1, f2 = nfet.ids_gm_gds(0.7, 0.2)
+        assert (current, gm, gds) == (-f, -f1, f1 + f2)
