@@ -3,7 +3,8 @@
 The paper's design flow (Sec. III-B) uses RTL simulation of the Cortex-M0
 to (a) count clock cycles per application, (b) count memory accesses and
 retention requirements, and (c) extract switching activity for power
-analysis.  This package provides those quantities from scratch:
+analysis.  This package provides (a), the access counts of (b), and (c)
+from scratch:
 
 - :mod:`registers` — the ARMv6-M architectural state (R0-R15, APSR);
 - :mod:`isa` — Thumb instruction semantics and M0 cycle timings;

@@ -2,8 +2,7 @@
 
 The embedded system has two 64 kB memories (program and data, Sec. III-B
 step 1).  The simulator counts reads and writes per region — exactly what
-the paper extracts from .vcd waveforms to drive the eDRAM energy model —
-and records written-address lifetimes for retention analysis.
+the paper extracts from .vcd waveforms to drive the eDRAM energy model.
 """
 
 from __future__ import annotations
@@ -54,16 +53,10 @@ class MemoryRegion:
 
 
 class MemoryMap:
-    """A set of non-overlapping regions with bounds-checked access.
-
-    An optional :class:`~repro.cpu.retention_analysis.AccessRecorder`
-    can be attached (``memory.recorder = ...``); it then receives every
-    counted access for write-to-read retention analysis.
-    """
+    """A set of non-overlapping regions with bounds-checked access."""
 
     def __init__(self) -> None:
         self._regions: List[MemoryRegion] = []
-        self.recorder = None
         self._last_region: Optional[MemoryRegion] = None
 
     def add_region(self, name: str, base: int, size: int) -> MemoryRegion:
@@ -138,8 +131,6 @@ class MemoryMap:
         )
         if count:
             region.counters.reads += 1
-            if self.recorder is not None:
-                self.recorder.record(region.name, address, size, False)
         return value
 
     def write(self, address: int, value: int, size: int, count: bool = True) -> None:
@@ -157,8 +148,6 @@ class MemoryMap:
         region.version += 1
         if count:
             region.counters.writes += 1
-            if self.recorder is not None:
-                self.recorder.record(region.name, address, size, True)
 
     # -- bulk (initialization; not counted) ----------------------------------
     def load_bytes(self, address: int, payload: bytes) -> None:

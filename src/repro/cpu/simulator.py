@@ -35,7 +35,7 @@ from repro.errors import ExecutionError, ReproError
 _MASK32 = 0xFFFFFFFF
 
 #: Execution engine choices accepted by :meth:`CortexM0.run`.
-ENGINES = ("auto", "superblock", "legacy")
+ENGINES = ("superblock", "legacy")
 
 
 @dataclass
@@ -73,14 +73,11 @@ class CortexM0:
         self,
         memory: Optional[MemoryMap] = None,
         trace: Optional[ActivityTrace] = None,
-        recorder=None,
     ) -> None:
         self.memory = memory if memory is not None else MemoryMap.embedded_system()
         self.regs = RegisterFile()
         self.stats = ExecutionStats()
         self.trace = trace
-        if recorder is not None:
-            self.memory.recorder = recorder
         self.halted = False
         self._fast = None
         # Reset state: SP at the top of the data region, LR poisoned.
@@ -105,19 +102,18 @@ class CortexM0:
         return self._fast
 
     def run(
-        self, max_cycles: int = 500_000_000, engine: str = "auto"
+        self, max_cycles: int = 500_000_000, engine: str = "superblock"
     ) -> ExecutionStats:
         """Run until BKPT or the cycle limit.
 
         Args:
             max_cycles: Cycle budget; exceeding it raises
                 :class:`~repro.errors.ExecutionError`.
-            engine: ``"superblock"`` translates straight-line runs into
-                compiled blocks (:mod:`repro.cpu.superblock`), falling
-                back to :meth:`step` outside them; ``"legacy"`` calls
-                :meth:`step` for every instruction; ``"auto"`` (default)
-                picks the superblock engine unless an access recorder is
-                attached (the recorder needs per-step cycle stamps).
+            engine: ``"superblock"`` (default) translates straight-line
+                runs into compiled blocks (:mod:`repro.cpu.superblock`),
+                falling back to :meth:`step` outside them; ``"legacy"``
+                calls :meth:`step` for every instruction and is the
+                reference the superblock engine is tested against.
                 Both engines produce bit-identical statistics,
                 checksums, traces, and access counters.
         """
@@ -125,13 +121,6 @@ class CortexM0:
             raise ReproError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        if engine == "superblock" and self.memory.recorder is not None:
-            raise ReproError(
-                "the superblock engine does not drive access recorders; "
-                "use engine='auto' or 'legacy' with a recorder attached"
-            )
-        if engine == "auto" and self.memory.recorder is None:
-            engine = "superblock"
         if engine == "superblock":
             # Built lazily and kept for the CPU's lifetime (SMC tests
             # re-run on the same engine so its invalidation path is
@@ -153,8 +142,6 @@ class CortexM0:
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Fetch, decode, execute one instruction."""
-        if self.memory.recorder is not None:
-            self.memory.recorder.current_cycle = self.stats.cycles
         pc = self.regs.read_raw_pc()
         insn = self.memory.read(pc, 2)
         self.stats.instructions += 1

@@ -10,7 +10,17 @@ scribe spacing of 0.1 mm, edge clearance of 5 mm, and flat/notch height of
 
   with d' the wafer diameter reduced by the edge clearance and
   S = (H + s)(W + s) the scribed die area.  With the paper's parameters it
-  reproduces the published counts to < 0.05 % (299,127 and 606,238).
+  reproduces the published counts (299,127 all-Si, 606,238 M3D) to
+  < 0.15 %:
+
+  ==========================================  =======  =========
+  die                                         count    residual
+  ==========================================  =======  =========
+  Table II all-Si, 0.270 x 0.515 mm           298,996  -0.044 %
+  Table II M3D, 0.159 x 0.334 mm              606,102  -0.022 %
+  floorplanned all-Si (``build_case_study``)  298,934  -0.065 %
+  floorplanned M3D (``build_case_study``)     607,113  +0.144 %
+  ==========================================  =======  =========
 
 - :func:`dies_per_wafer_grid` — an exact rectangle-packing count on a
   grid, with optional notch exclusion; useful for large dies where the

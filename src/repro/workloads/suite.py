@@ -69,15 +69,14 @@ class WorkloadResult:
 def run_workload(
     workload: Workload,
     max_cycles: int = 500_000_000,
-    engine: str = "auto",
+    engine: str = "superblock",
 ) -> WorkloadResult:
     """Assemble, execute, and verify a workload.
 
     Args:
         engine: ISS engine selection passed to
-            :meth:`~repro.cpu.simulator.CortexM0.run` (``"auto"``,
-            ``"superblock"``, ``"legacy"``).  The engines are
-            bit-identical.
+            :meth:`~repro.cpu.simulator.CortexM0.run` (``"superblock"``
+            or ``"legacy"``).  The engines are bit-identical.
     """
     program = assemble(workload.source)
     trace = ActivityTrace()

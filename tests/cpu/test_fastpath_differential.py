@@ -9,7 +9,6 @@ import pytest
 
 from repro.analysis.suite_study import default_study_configs
 from repro.cpu import CortexM0, MemoryMap, assemble
-from repro.cpu.retention_analysis import AccessRecorder
 from repro.cpu.simulator import ENGINES
 from repro.cpu.trace import ActivityTrace
 from repro.errors import ExecutionError, ReproError
@@ -85,26 +84,7 @@ class TestEngineSelection:
             cpu.run(engine="turbo")
 
     def test_engines_tuple(self):
-        assert ENGINES == ("auto", "superblock", "legacy")
-
-    @pytest.mark.parametrize("engine", ["superblock"])
-    def test_predecoded_engine_refuses_recorder(self, engine):
-        cpu = CortexM0(
-            MemoryMap.embedded_system(), recorder=AccessRecorder()
-        )
-        with pytest.raises(ReproError, match="recorder"):
-            cpu.run(engine=engine)
-
-    def test_auto_with_recorder_uses_legacy(self):
-        workload = default_study_configs()[-1]
-        program = assemble(workload.source)
-        cpu = CortexM0(
-            MemoryMap.embedded_system(), recorder=AccessRecorder()
-        )
-        cpu.load_program(program)
-        stats = cpu.run(engine="auto")
-        assert cpu.halted
-        assert stats.instructions > 0
+        assert ENGINES == ("superblock", "legacy")
 
 
 class TestFaultFidelity:

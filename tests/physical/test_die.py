@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import build_case_study
 from repro.errors import PhysicalDesignError
 from repro.physical.die import (
     DieGeometry,
@@ -57,6 +58,29 @@ class TestAnalyticCount:
         tight = DieGeometry(1.0, 1.0, scribe_mm=0.05)
         loose = DieGeometry(1.0, 1.0, scribe_mm=0.2)
         assert dies_per_wafer(tight) > dies_per_wafer(loose)
+
+
+class TestPublishedResiduals:
+    """The residuals the module docstring states."""
+
+    PAPER = {"all-si": 299_127, "m3d": 606_238}
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        return build_case_study()
+
+    def test_floorplanned_counts_pinned(self, case):
+        assert case.all_si.dies_per_wafer == 298_934
+        assert case.m3d.dies_per_wafer == 607_113
+
+    def test_every_count_within_stated_bound(self, case):
+        counts = {
+            "all-si": (dies_per_wafer(SI_DIE), case.all_si.dies_per_wafer),
+            "m3d": (dies_per_wafer(M3D_DIE), case.m3d.dies_per_wafer),
+        }
+        for tech, (rounded, floorplanned) in counts.items():
+            for count in (rounded, floorplanned):
+                assert abs(count / self.PAPER[tech] - 1) < 0.0015, (tech, count)
 
 
 class TestGridCount:

@@ -186,7 +186,6 @@ class TestLiveTree:
             "repro.core.tcdp.tcdp",
             "repro.core.tcdp.edp",
             "repro.core.operational.operational_carbon_g",
-            "repro.physical.wires.unrepeated_delay_s",
             "repro.fab.steps.per_step_energy",
         ):
             assert status[name] == VECTOR_OK, (name, status[name])

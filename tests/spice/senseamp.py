@@ -1,14 +1,10 @@
-"""Latch-type sense amplifier, simulated at the circuit level.
+"""Latch-type sense amplifier: a SPICE test circuit.
 
-The eDRAM periphery (Fig. 3b) senses the read bitline with a
-cross-coupled latch SA.  This module builds the actual transistor
-netlist — two cross-coupled Si inverters with a footed enable — and
-measures, via transient simulation:
-
-- sense delay vs input differential (the regeneration time);
-- the minimum differential that resolves correctly within the cycle
-  budget (sense margin), which sets how far the RBL must discharge
-  before the sense-enable fires.
+Two cross-coupled Si inverters with a footed enable, started at a
+sampled bitline differential and left to regenerate to full rail.  It is
+the only latch among the SPICE test circuits: five FETs whose positive
+feedback makes the Newton solves line-search heavy.  The goldens and the
+predictor differential both run :func:`simulate_sense`.
 """
 
 from __future__ import annotations
@@ -116,35 +112,3 @@ def simulate_sense(
         final_outp_v=final_p,
         final_outn_v=final_n,
     )
-
-
-def minimum_sense_differential(
-    budget_s: float = 0.4e-9,
-    lo_v: float = 0.001,
-    hi_v: float = 0.3,
-    iterations: int = 8,
-) -> float:
-    """Smallest differential the SA resolves within the time budget.
-
-    Bisection over the input differential; this is the margin the RBL
-    discharge must develop before sense-enable.
-    """
-    if budget_s <= 0:
-        raise AnalysisError("budget must be > 0")
-
-    def ok(diff: float) -> bool:
-        outcome = simulate_sense(diff)
-        return outcome.resolved_correctly and outcome.sense_delay_s <= budget_s
-
-    if not ok(hi_v):
-        raise AnalysisError(
-            f"even a {hi_v:.3f} V differential misses the {budget_s*1e9:.2f} ns budget"
-        )
-    lo, hi = lo_v, hi_v
-    for _ in range(iterations):
-        mid = (lo + hi) / 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

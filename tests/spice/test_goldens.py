@@ -12,10 +12,10 @@ import pytest
 from repro.devices import si_nfet, si_pfet
 from repro.edram.bitcell import m3d_bitcell, si_bitcell
 from repro.edram.retention import simulate_retention_decay
-from repro.edram.senseamp import simulate_sense
 from repro.edram.subarray import SubArrayDesign
 from repro.edram.timing import simulate_read_zero_disturb
 from repro.spice import Capacitor, Circuit, Dc, FetElement, VoltageSource, dc_operating_point
+from tests.spice.senseamp import simulate_sense
 
 RTOL = 1e-9
 

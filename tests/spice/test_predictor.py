@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.devices import si_nfet, si_pfet
-from repro.edram import retention, senseamp, timing
+from repro.edram import retention, timing
 from repro.edram.bitcell import m3d_bitcell, si_bitcell
 from repro.edram.subarray import SubArrayDesign
 from repro.errors import ConvergenceError
@@ -31,6 +31,7 @@ from repro.spice import (
     transient,
 )
 from repro.spice.mna import DEFAULT_GMIN, StampPlan, StepSystem, newton_solve
+from tests.spice import senseamp
 
 VOLT_ATOL = 1e-12
 AMP_ATOL = 1e-15
