@@ -12,15 +12,14 @@ Usage::
     python -m repro metrics workloads
     python -m repro profile --hz 200 workloads
     python -m repro obs-report --port 8080
-    python -m repro --trace fig6b
 
-Observability: ``repro trace <cmd> [args...]`` runs any subcommand with
-tracing on, prints the span tree, and writes a Chrome-trace JSON
-(open in ``chrome://tracing`` or Perfetto).  ``repro metrics <cmd>``
-prints the counter/gauge/histogram table instead.  The top-level
-``--trace`` flag (or ``REPRO_TRACE=1``) enables tracing for a plain
-subcommand and writes the trace to ``--trace-out`` /
-``REPRO_TRACE_OUT`` / ``repro-trace.json``.
+Observability: ``repro trace [--output FILE] <cmd> [args...]`` runs any
+subcommand with tracing on, prints the span tree, and writes a
+Chrome-trace JSON (open in ``chrome://tracing`` or Perfetto).
+``repro metrics <cmd>`` prints the counter/gauge/histogram table
+instead.  ``REPRO_TRACE=1`` enables tracing for a plain subcommand,
+which then writes its trace to ``REPRO_TRACE_OUT`` or
+``repro-trace.json``.
 """
 
 from __future__ import annotations
@@ -458,26 +457,6 @@ def cmd_lint(args) -> int:
     return report.exit_code
 
 
-def cmd_sanitize(args) -> int:
-    from pathlib import Path
-
-    from repro.quality.sanitizer import run_pytest
-
-    watch = [Path(p) for p in args.watch] if args.watch else None
-    ignore = set(args.ignore) if args.ignore else None
-    pytest_args = list(args.pytest_args) or [
-        "tests/serve", "tests/runtime", "tests/obs",
-    ]
-    try:
-        report, status = run_pytest(pytest_args, watch=watch, ignore=ignore)
-    except RuntimeError as exc:
-        print(f"repro sanitize: {exc}", file=sys.stderr)
-        return 2
-    print()
-    print(report.render())
-    return status
-
-
 def cmd_vectorcheck(args) -> int:
     from pathlib import Path
 
@@ -585,10 +564,6 @@ _COMMANDS = {
         "scalar-vs-array differential capability gate "
         "(VECTOR_capability.json)",
     ),
-    "sanitize": (
-        cmd_sanitize,
-        "run tests under the tsan-lite race sanitizer",
-    ),
     "trace": (
         cmd_trace,
         "run a subcommand with tracing on; write a Chrome trace JSON",
@@ -612,7 +587,6 @@ _COMMANDS = {
 _NO_COMMON_ARGS = {
     "lint",
     "vectorcheck",
-    "sanitize",
     "trace",
     "metrics",
     "serve",
@@ -627,18 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Reproduce the DATE 2025 PPAtC paper's tables and figures."
         ),
-    )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="enable tracing for the subcommand and write a Chrome trace",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        default=None,
-        help="trace output path (default: $REPRO_TRACE_OUT or "
-        "repro-trace.json)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text) in _COMMANDS.items():
@@ -957,31 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="print every function's classification",
             )
-        if name == "sanitize":
-            sub.add_argument(
-                "pytest_args",
-                nargs="*",
-                metavar="PYTEST_ARG",
-                help="arguments passed through to pytest "
-                "(default: tests/serve tests/runtime)",
-            )
-            sub.add_argument(
-                "--watch",
-                action="append",
-                metavar="PATH",
-                default=None,
-                help="source tree(s) to watch for shared-state writes "
-                "(default: repro's serve/obs/runtime packages; "
-                "repeatable)",
-            )
-            sub.add_argument(
-                "--ignore",
-                action="append",
-                metavar="CLASS.ATTR",
-                default=None,
-                help="Class.attr pairs exempt from race reporting "
-                "(default: known benign lifecycle flags; repeatable)",
-            )
         sub.set_defaults(func=func)
     return parser
 
@@ -990,18 +927,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro import obs
 
     args = build_parser().parse_args(argv)
-    if getattr(args, "trace", False):
-        obs.enable()
     code = args.func(args)
-    # Export for --trace / REPRO_TRACE runs of plain subcommands; the
-    # trace/metrics passthroughs own their export and are skipped here.
+    # Export for REPRO_TRACE runs of plain subcommands; the trace/metrics
+    # passthroughs own their export and are skipped here.
     tracer = obs.get_tracer()
     if tracer.enabled and args.command not in ("trace", "metrics"):
-        out = (
-            getattr(args, "trace_out", None)
-            or os.environ.get(obs.ENV_TRACE_OUT)
-            or "repro-trace.json"
-        )
+        out = os.environ.get(obs.ENV_TRACE_OUT) or "repro-trace.json"
         n_spans = tracer.write_chrome_trace(out, metrics=obs.get_metrics())
         print(f"wrote {n_spans} trace span(s) to {out}", file=sys.stderr)
     return code

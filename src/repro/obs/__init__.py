@@ -11,7 +11,6 @@ Enabling:
 
 - ``REPRO_TRACE=1`` in the environment (read once at import);
 - the ``repro trace <cmd>`` / ``repro metrics <cmd>`` CLI passthroughs;
-- the top-level ``repro --trace`` flag;
 - programmatically via :func:`enable` / :func:`disable` /
   :func:`enabled_scope`.
 

@@ -104,13 +104,11 @@ def dies_per_wafer(geometry: DieGeometry) -> int:
 def dies_per_wafer_grid(
     geometry: DieGeometry,
     exclude_notch: bool = True,
-    x_offset_mm: float = 0.0,
-    y_offset_mm: float = 0.0,
 ) -> int:
     """Exact grid-packing die count.
 
-    Places a rectangular grid of die pitches (optionally offset from wafer
-    center) and counts dies whose four corners all fall inside the usable
+    Places a rectangular grid of die pitches with a corner at the wafer
+    center and counts dies whose four corners all fall inside the usable
     circle, excluding a flat/notch band of ``notch_height_mm`` at the
     bottom when ``exclude_notch``.
     """
@@ -127,12 +125,12 @@ def dies_per_wafer_grid(
     n_cols = int(math.ceil(2.0 * radius / pw)) + 2
     n_rows = int(math.ceil(2.0 * radius / ph)) + 2
     for i in range(-n_cols, n_cols + 1):
-        x0 = i * pw + x_offset_mm
+        x0 = i * pw
         x1 = x0 + pw
         if max(abs(x0), abs(x1)) > radius:
             continue
         for j in range(-n_rows, n_rows + 1):
-            y0 = j * ph + y_offset_mm
+            y0 = j * ph
             y1 = y0 + ph
             if inside(x0, y0) and inside(x0, y1) and inside(x1, y0) and inside(
                 x1, y1

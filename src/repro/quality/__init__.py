@@ -32,9 +32,7 @@ checks those invariants statically:
 - :mod:`repro.quality.pragma_audit` — stale/unknown pragma detection
   (``repro lint --audit-pragmas``);
 - :mod:`repro.quality.sarif` — SARIF 2.1.0 export
-  (``repro lint --format sarif``);
-- :mod:`repro.quality.sanitizer` — the tsan-lite *runtime* race
-  harness (``repro sanitize``), the dynamic complement to RPL011.
+  (``repro lint --format sarif``).
 
 Run it as ``repro lint`` (or ``python -m repro lint``); see the README
 "Static analysis" section for the rule table and baseline workflow.
@@ -65,11 +63,6 @@ from repro.quality.pragma_audit import (
 )
 from repro.quality.pragmas import PragmaMap, parse_pragmas
 from repro.quality.rules import RULE_REGISTRY, Rule, default_rules
-from repro.quality.sanitizer import (
-    Sanitizer,
-    SanitizerReport,
-    run_pytest as sanitize_pytest,
-)
 
 __all__ = [
     "BASELINE_FILENAME",
@@ -96,7 +89,4 @@ __all__ = [
     "RULE_REGISTRY",
     "Rule",
     "default_rules",
-    "Sanitizer",
-    "SanitizerReport",
-    "sanitize_pytest",
 ]

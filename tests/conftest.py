@@ -14,6 +14,11 @@ Random exploration uses Hypothesis's own pytest option and its built-in
 The SPICE timing of the Si and M3D sub-arrays is a session fixture, so
 the suite characterizes each design once.  So is the lint report of the
 live ``src/repro`` tree, which every live-tree lint assertion reads.
+
+The obs tracer and metrics registry are process-global, so every test
+that touches them runs inside ``clean_obs``: prior enabled state is
+restored and all records and metrics are dropped afterwards, keeping
+tests order-independent.
 """
 
 from pathlib import Path
@@ -21,10 +26,25 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from repro import obs
+
 settings.register_profile(
     "deterministic", derandomize=True, database=None, deadline=None, print_blob=True
 )
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def clean_obs():
+    """Yield with observability reset; restore prior state on exit."""
+    tracer = obs.get_tracer()
+    metrics = obs.get_metrics()
+    prior = (tracer.enabled, metrics.enabled)
+    obs.disable()
+    obs.reset()
+    yield
+    tracer.enabled, metrics.enabled = prior
+    obs.reset()
 
 
 def _characterize(tech):

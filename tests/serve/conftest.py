@@ -1,27 +1,12 @@
 """Shared fixtures for the serving-layer tests.
 
 The server enables the process-global metrics registry, so every test
-that boots one runs inside a save/restore fixture; the shared
+that boots one runs inside the suite's ``clean_obs`` fixture; the shared
 ``ModelContext`` is session-scoped because warming four grids builds
 four full case studies.
 """
 
 import pytest
-
-from repro import obs
-
-
-@pytest.fixture
-def clean_obs():
-    """Yield with observability reset; restore prior state on exit."""
-    tracer = obs.get_tracer()
-    metrics = obs.get_metrics()
-    prior = (tracer.enabled, metrics.enabled)
-    obs.disable()
-    obs.reset()
-    yield
-    tracer.enabled, metrics.enabled = prior
-    obs.reset()
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
+from repro import obs
 from repro.cli import build_parser, main
 
 
@@ -35,6 +38,48 @@ class TestParser:
     def test_serve_batch_window_defaults_to_zero(self):
         args = build_parser().parse_args(["serve"])
         assert args.batch_window_ms == 0.0
+
+    def test_no_global_trace_flag(self, capsys):
+        # Tracing is `repro trace <cmd>` or REPRO_TRACE=1, not a flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["--trace", "table2"])
+        assert exc.value.code == 2
+        assert "--trace" in capsys.readouterr().err
+
+
+def _span_names(path):
+    events = json.loads(path.read_text())["traceEvents"]
+    return {event["name"] for event in events if event.get("ph") == "X"}
+
+
+class TestTracing:
+    """The two ways to trace a command, on one artifact build."""
+
+    @staticmethod
+    def _artifacts_argv(tmp_path):
+        return [
+            "artifacts", "--only", "table2", "--no-cache",
+            "--output", str(tmp_path / "store"),
+        ]
+
+    def test_trace_passthrough_writes_chrome_trace(
+        self, clean_obs, tmp_path, capsys
+    ):
+        out = tmp_path / "trace.json"
+        argv = ["trace", "--output", str(out)] + self._artifacts_argv(tmp_path)
+        assert main(argv) == 0
+        assert "artifact.table2" in _span_names(out)
+        assert f"to {out}" in capsys.readouterr().out
+
+    def test_env_enabled_command_writes_to_trace_out(
+        self, clean_obs, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "env-trace.json"
+        monkeypatch.setenv(obs.ENV_TRACE_OUT, str(out))
+        obs.enable()  # what REPRO_TRACE=1 does at import
+        assert main(self._artifacts_argv(tmp_path)) == 0
+        assert "artifact.table2" in _span_names(out)
+        assert f"to {out}" in capsys.readouterr().err
 
 
 class TestCommands:
