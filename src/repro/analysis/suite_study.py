@@ -10,6 +10,12 @@ Because both designs run the same binary for the same cycle count, the
 tCDP ratio per workload reduces to the tC ratio, driven by how
 memory-intensive the workload is: more accesses per cycle widen the M3D
 design's energy advantage.
+
+The ISS runs behind the rows go through
+:func:`repro.runtime.parallel.run_workloads`: cached results resolve in
+the parent, and the misses fan out over ``jobs`` worker processes
+through :func:`~repro.runtime.parallel.map_parallel`.  Rows are
+identical at any ``jobs``.
 """
 
 from __future__ import annotations
@@ -42,19 +48,6 @@ def default_study_configs() -> List[Workload]:
     ]
 
 
-def seed_variant_configs(n_variants: int = 8) -> List[Workload]:
-    """Seed-parameterized matmul variants sharing one program text.
-
-    Every variant differs only in its data word, so the vector runner
-    executes the whole set as a single N-lane lockstep group — the
-    multi-configuration sweep the vector engine was built for.
-    """
-    return [
-        matmul_int.seed_variant(12345 + 7919 * i, repeats=2, tune=1)
-        for i in range(n_variants)
-    ]
-
-
 @dataclass
 class WorkloadStudyRow:
     """One workload's PPAtC outcome."""
@@ -82,7 +75,6 @@ def run_suite_study(
     grid: str = "us",
     jobs: Optional[int] = None,
     cache=None,
-    vector: bool = False,
 ) -> List[WorkloadStudyRow]:
     """Run the whole suite through the PPAtC flow at one lifetime.
 
@@ -96,18 +88,12 @@ def run_suite_study(
         cache: A :class:`~repro.runtime.cache.ResultCache`, ``None``
             for the default persistent cache, or ``False`` to disable
             result caching.
-        vector: Route ISS runs through
-            :func:`~repro.runtime.parallel.run_workloads_vector`, which
-            executes workloads sharing a program text as one N-lane
-            lockstep group (see :func:`seed_variant_configs`).  Results
-            are bit-identical either way.
     """
-    from repro.runtime.parallel import run_workloads, run_workloads_vector
+    from repro.runtime.parallel import run_workloads
 
     scenario = UsageScenario(lifetime_months)
     workloads = configs if configs is not None else default_study_configs()
-    runner = run_workloads_vector if vector else run_workloads
-    report = runner(workloads, jobs=jobs, cache=cache)
+    report = run_workloads(workloads, jobs=jobs, cache=cache)
     rows: List[WorkloadStudyRow] = []
     for workload, result in zip(workloads, report.results):
         profile = result.access_profile()

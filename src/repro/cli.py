@@ -44,6 +44,17 @@ def _non_negative_finite(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=``: an integer >= 1 (a worker count)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--grid",
@@ -146,20 +157,11 @@ def cmd_fig6b(args) -> int:
 
 
 def cmd_workloads(args) -> int:
-    from repro.analysis.suite_study import (
-        default_study_configs,
-        seed_variant_configs,
-    )
+    from repro.analysis.suite_study import default_study_configs
     from repro.runtime import render_perf_table, run_workloads
-    from repro.runtime.parallel import run_workloads_vector
 
-    if args.variants:
-        configs = seed_variant_configs(args.variants)
-    else:
-        configs = default_study_configs()
-    runner = run_workloads_vector if args.vector else run_workloads
-    report = runner(
-        configs,
+    report = run_workloads(
+        default_study_configs(),
         jobs=args.jobs,
         cache=False if args.no_cache else None,
     )
@@ -172,16 +174,10 @@ def cmd_workloads(args) -> int:
     if args.perf:
         print()
         print(render_perf_table(report.perfs))
-        line = (
+        print(
             f"suite wall {report.wall_seconds:.3f}s, jobs={report.jobs}, "
             f"cache hits {report.cache_hits}/{len(report.results)}"
         )
-        if args.vector:
-            line += (
-                f", vector groups {report.vector_groups} "
-                f"({report.vector_lanes} lanes)"
-            )
-        print(line)
     return 0
 
 
@@ -623,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "workloads":
             sub.add_argument(
                 "--jobs",
-                type=int,
+                type=_positive_int,
                 default=None,
                 help="ISS worker processes (default: one per CPU)",
             )
@@ -636,20 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--perf",
                 action="store_true",
                 help="print wall-time and simulated-MIPS per run",
-            )
-            sub.add_argument(
-                "--vector",
-                action="store_true",
-                help="run workloads sharing a program text as one "
-                "N-lane lockstep vector group",
-            )
-            sub.add_argument(
-                "--variants",
-                type=int,
-                default=0,
-                metavar="N",
-                help="run N seed-parameterized matmul variants instead "
-                "of the standard suite (pairs with --vector)",
             )
         if name == "serve":
             sub.add_argument(
@@ -815,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             sub.add_argument(
                 "--jobs",
-                type=int,
+                type=_positive_int,
                 default=None,
                 help="sweep worker processes (default: one per CPU)",
             )
@@ -846,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             sub.add_argument(
                 "--jobs",
-                type=int,
+                type=_positive_int,
                 default=None,
                 help="lint worker processes (default: one per CPU; "
                 "1 = serial)",

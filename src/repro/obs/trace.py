@@ -22,9 +22,10 @@ instrumented hot path pays one attribute read and one call per span
 site and allocates nothing.
 
 Cross-process spans: worker processes cannot append to the parent's
-record list, so fan-out sites (see :func:`repro.runtime.parallel
-.map_parallel`) measure start/duration worker-side and replay them into
-the parent tracer via :meth:`Tracer.add_span`.  On Linux
+record list, so the fan-out (:func:`repro.runtime.parallel
+.map_parallel`) times each call worker-side, returns it with the spans
+the worker recorded, and replays them into the parent tracer via
+:meth:`Tracer.add_span`.  On Linux
 ``perf_counter_ns`` is the system-wide ``CLOCK_MONOTONIC``, so worker
 timestamps land on the same axis as parent spans.
 """

@@ -5,8 +5,9 @@ This package makes repeat studies cheap and large studies fast:
 - :mod:`repro.runtime.cache` — persistent content-addressed memoization
   of :class:`~repro.workloads.suite.WorkloadResult` keyed on the
   assembly source, cycle budget, and ISS version tag.
-- :mod:`repro.runtime.parallel` — suite fan-out over a process pool
-  with cache integration and a serial fallback.
+- :mod:`repro.runtime.parallel` — the process-pool fan-out (serial
+  fallback, worker spans and counters replayed in the parent) and the
+  cached suite runner built on it.
 - :mod:`repro.obs.perf` — wall-time / MIPS metering (re-exported here)
   so the speedups stay observable from the CLI.
 """

@@ -1,16 +1,18 @@
-"""Parallel fan-out with cache integration.
+"""Process-pool fan-out with a serial fallback, and the cached ISS suite.
+
+:func:`map_parallel` is the one fan-out: apply a picklable function to
+a list of payloads, preserving order, over a ``ProcessPoolExecutor``.
+It runs serially in-process when one job is requested, when only one
+CPU is available, or when worker processes cannot be spawned at all
+(sandboxed environments).  With tracing or metrics on, each worker call
+hands back the spans and counter increments it recorded, and the parent
+records them again, so ``repro trace`` and ``repro metrics`` see the
+same spans and counters at any job count.  The Monte Carlo sweeps, the
+linter and the suite runner all fan out through it.
 
 :func:`run_workloads` executes a list of workloads and returns results
 in input order.  Cache hits resolve in the parent without spawning
-anything; only misses fan out over a ``ProcessPoolExecutor``.  The pool
-degrades gracefully to serial execution when only one job is requested,
-when only one CPU is available, or when worker processes cannot be
-spawned at all (sandboxed environments).
-
-:func:`map_parallel` is the generic building block underneath: apply a
-picklable function to a list of payloads, preserving order, over the
-same pool-with-serial-fallback policy.  The uncertainty sweeps use it to
-fan out Monte Carlo sample chunks and perturbation families.
+anything; only misses go to :func:`map_parallel`.
 """
 
 from __future__ import annotations
@@ -19,13 +21,16 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import (
+    Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 from repro import obs
 from repro.obs.perf import RunPerf
+from repro.obs.trace import SpanRecord
 from repro.runtime.cache import ResultCache
 from repro.workloads.suite import Workload, WorkloadResult, run_workload
 
@@ -37,13 +42,10 @@ class SuiteRunReport:
     results: List[WorkloadResult]
     perfs: List[RunPerf]
     wall_seconds: float
+    #: Worker processes the cache misses were given (1 with none).
     jobs: int
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Lane groups executed on the N-lane vector engine (vector runner).
-    vector_groups: int = 0
-    #: Total lanes across those groups.
-    vector_lanes: int = 0
 
     @property
     def total_instructions(self) -> int:
@@ -76,84 +78,106 @@ def map_parallel(
 
     ``func`` must be a module-level (picklable) callable.  ``jobs=None``
     auto-sizes to the CPU count; ``jobs=1`` runs serially in-process.
-    When worker processes cannot be spawned (sandboxes), the remaining
-    payloads fall back to serial execution — results are identical
-    either way, only wall time changes.
+    When worker processes cannot be spawned (sandboxes), the payloads
+    fall back to serial execution — results are identical either way,
+    only wall time changes.
 
     ``label`` names the fan-out in trace spans (defaults to the
-    function name).  With tracing off this function is byte-for-byte
-    the original pool dispatch plus one flag check.
+    function name): one ``parallel.map.<label>`` span around the map and
+    one ``<label>`` span per payload, under which a worker's own spans
+    nest.  With tracing and metrics off the pool maps ``func`` directly.
     """
     workers = resolve_jobs(jobs, len(payloads))
-    if obs.get_tracer().enabled:
-        return _map_parallel_traced(
-            func, payloads, workers,
-            label or getattr(func, "__name__", "call"),
-        )
-    if len(payloads) > 1 and workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(func, payloads))
-        except (OSError, PermissionError):
-            pass
-    return [func(p) for p in payloads]
-
-
-def _traced_call(
-    payload: "Tuple[Callable[[_T], _R], _T]",
-) -> "Tuple[_R, int, int, int]":
-    """Worker-side timing shim (module-level for pickling).
-
-    Returns ``(result, pid, start_ns, duration_ns)`` so the parent can
-    replay the chunk as a span with worker attribution; on Linux
-    ``perf_counter_ns`` is system-wide ``CLOCK_MONOTONIC``, so worker
-    timestamps share the parent's time axis.
-    """
-    func, item = payload
-    start_ns = time.perf_counter_ns()
-    result = func(item)
-    return result, os.getpid(), start_ns, time.perf_counter_ns() - start_ns
-
-
-def _map_parallel_traced(
-    func: "Callable[[_T], _R]",
-    payloads: Sequence[_T],
-    workers: int,
-    label: str,
-) -> "List[_R]":
-    """The tracing twin of :func:`map_parallel` (same fallback policy)."""
-    tracer = obs.get_tracer()
-    metrics = obs.get_metrics()
-    metrics.counter("parallel.maps").inc()
-    metrics.counter("parallel.chunks").inc(len(payloads))
+    tracer, metrics = obs.get_tracer(), obs.get_metrics()
+    flags = (tracer.enabled, metrics.enabled)
+    label = label or getattr(func, "__name__", "call")
+    if metrics.enabled:
+        metrics.counter("parallel.maps").inc()
+        metrics.counter("parallel.chunks").inc(len(payloads))
     with tracer.span(
         f"parallel.map.{label}", items=len(payloads), jobs=workers
     ) as sp:
         if len(payloads) > 1 and workers > 1:
             try:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    wrapped = [(func, p) for p in payloads]
-                    raw = list(pool.map(_traced_call, wrapped))
+                    if not any(flags):
+                        return list(pool.map(func, payloads))
+                    raw = list(pool.map(
+                        _observed_call, [(func, p, *flags) for p in payloads]
+                    ))
             except (OSError, PermissionError):
-                raw = None
-            if raw is not None:
-                results: "List[_R]" = []
-                for i, (result, pid, start_ns, dur_ns) in enumerate(raw):
-                    tracer.add_span(
-                        label,
-                        start_ns,
-                        dur_ns,
-                        pid=pid,
-                        args={"index": i},
-                    )
-                    results.append(result)
-                return results
-            sp.set(fallback="serial")
+                sp.set(fallback="serial")
+            else:
+                return [_replay(label, i, *out) for i, out in enumerate(raw)]
         results = []
         for i, p in enumerate(payloads):
             with tracer.span(label, index=i):
                 results.append(func(p))
         return results
+
+
+def _observed_call(
+    payload: "Tuple[Callable[[_T], _R], _T, bool, bool]",
+) -> "Tuple[_R, int, int, int, List[SpanRecord], Dict[str, int]]":
+    """Worker-side shim (module-level for pickling).
+
+    Runs one payload under the parent's tracing and metrics flags and
+    returns ``(result, pid, start_ns, duration_ns, spans, counters)``:
+    the spans and non-zero counter increments recorded during the call.
+    The worker's recorders are cleared first, so nothing inherited from
+    the parent or from an earlier payload is sent back.  On Linux
+    ``perf_counter_ns`` is system-wide ``CLOCK_MONOTONIC``, so worker
+    timestamps share the parent's time axis.
+    """
+    func, item, tracing, counting = payload
+    tracer, metrics = obs.get_tracer(), obs.get_metrics()
+    tracer.enabled, metrics.enabled = tracing, counting
+    tracer.reset()
+    metrics.reset()
+    start_ns = time.perf_counter_ns()
+    result = func(item)
+    duration_ns = time.perf_counter_ns() - start_ns
+    counters = {
+        name: value
+        for name, value in metrics.snapshot()["counters"].items()
+        if value
+    }
+    return result, os.getpid(), start_ns, duration_ns, tracer.spans, counters
+
+
+def _replay(
+    label: str,
+    index: int,
+    result: "_R",
+    pid: int,
+    start_ns: int,
+    duration_ns: int,
+    spans: List[SpanRecord],
+    counters: Dict[str, int],
+) -> "_R":
+    """Record one worker call's span, its worker spans (nested under
+    it) and its counter increments in the parent; return its result.
+
+    A forked worker inherits the forking thread's span depth, so worker
+    depths are rebased on the outermost span of the call.
+    """
+    tracer, metrics = obs.get_tracer(), obs.get_metrics()
+    tracer.add_span(
+        label, start_ns, duration_ns, pid=pid, args={"index": index}
+    )
+    base = min((record.depth for record in spans), default=0)
+    for record in spans:
+        tracer.add_span(
+            record.name,
+            record.start_ns,
+            record.duration_ns,
+            pid=pid,
+            depth=record.depth - base + 1,
+            args=record.args,
+        )
+    for name, value in counters.items():
+        metrics.counter(name).inc(value)
+    return result
 
 
 def _execute_one(payload: Tuple[Workload, int]) -> Tuple[WorkloadResult, float]:
@@ -170,7 +194,7 @@ def run_workloads(
     jobs: Optional[int] = None,
     cache: Union[ResultCache, None, bool] = None,
 ) -> SuiteRunReport:
-    """Run workloads, preserving order, via cache + process pool.
+    """Run workloads, preserving order, via cache + :func:`map_parallel`.
 
     Args:
         workloads: Workloads to execute.
@@ -211,184 +235,28 @@ def run_workloads(
         pending.append(i)
 
     workers = resolve_jobs(jobs, len(pending))
-    used_jobs = workers if pending else 1
-
-    def record(i: int, result: WorkloadResult, wall: float) -> None:
-        results[i] = result
-        perfs[i] = RunPerf(
-            name=result.workload.name,
-            wall_seconds=wall,
-            cycles=result.cycles,
-            instructions=result.instructions,
-            cached=False,
+    if pending:
+        payloads = [(workloads[i], max_cycles) for i in pending]
+        runs = map_parallel(
+            _execute_one, payloads, jobs=workers, label="iss.workload"
         )
-        if result_cache is not None:
-            result_cache.put(result, max_cycles)
-
-    if pending and workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                payloads = [(workloads[i], max_cycles) for i in pending]
-                for i, (result, wall) in zip(
-                    pending, pool.map(_execute_one, payloads)
-                ):
-                    record(i, result, wall)
-        except (OSError, PermissionError):
-            # No subprocess support here (e.g. a sandbox): run the
-            # remaining misses serially instead.
-            used_jobs = 1
-            for i in pending:
-                if results[i] is None:
-                    result, wall = _execute_one((workloads[i], max_cycles))
-                    record(i, result, wall)
-    else:
-        used_jobs = 1
-        for i in pending:
-            result, wall = _execute_one((workloads[i], max_cycles))
-            record(i, result, wall)
+        for i, (result, wall) in zip(pending, runs):
+            results[i] = result
+            perfs[i] = RunPerf(
+                name=result.workload.name,
+                wall_seconds=wall,
+                cycles=result.cycles,
+                instructions=result.instructions,
+                cached=False,
+            )
+            if result_cache is not None:
+                result_cache.put(result, max_cycles)
 
     return SuiteRunReport(
         results=[r for r in results if r is not None],
         perfs=[p for p in perfs if p is not None],
         wall_seconds=time.perf_counter() - start,
-        jobs=used_jobs,
+        jobs=workers,
         cache_hits=hits,
         cache_misses=len(pending),
-    )
-
-
-def _lane_to_result(workload: Workload, lane) -> WorkloadResult:
-    """Adapt one :class:`~repro.cpu.vector_engine.LaneOutcome` to the
-    suite result type, with the same self-check :func:`run_workload`
-    applies."""
-    from repro.errors import ReproError
-
-    if lane.error is not None:
-        raise ReproError(
-            f"workload {workload.name!r} failed in vector lane: "
-            f"{lane.error}"
-        )
-    result = WorkloadResult(
-        workload=workload,
-        checksum=lane.checksum,
-        cycles=lane.cycles,
-        instructions=lane.instructions,
-        program_reads=lane.program_reads,
-        data_reads=lane.data_reads,
-        data_writes=lane.data_writes,
-        activity_factor=lane.activity_factor(),
-    )
-    if not result.correct:
-        raise ReproError(
-            f"workload {workload.name!r} failed self-check: "
-            f"got {result.checksum:#010x}, expected "
-            f"{workload.expected_checksum:#010x}"
-        )
-    return result
-
-
-def run_workloads_vector(
-    workloads: Sequence[Workload],
-    max_cycles: int = 500_000_000,
-    jobs: Optional[int] = None,
-    cache: Union[ResultCache, None, bool] = None,
-) -> SuiteRunReport:
-    """Run workloads through the N-lane vector engine where possible.
-
-    Cache hits resolve in the parent exactly as in
-    :func:`run_workloads` (per-lane keys: ``data_words`` joins the
-    cache key).  Remaining misses are grouped by identical source text;
-    each group of two or more becomes one
-    :func:`~repro.cpu.vector_engine.run_lanes` call executing every
-    variant in lockstep (falling back per-lane to the scalar superblock
-    engine on a vector bailout, so results are always bit-exact).
-    Groups of one fan out over :func:`map_parallel` with the ordinary
-    scalar worker.
-    """
-    from repro.cpu.vector_engine import run_lanes
-
-    start = time.perf_counter()
-    use_cache = cache is not False
-    result_cache: Optional[ResultCache] = None
-    if use_cache:
-        result_cache = cache if isinstance(cache, ResultCache) else ResultCache()
-
-    n = len(workloads)
-    results: List[Optional[WorkloadResult]] = [None] * n
-    perfs: List[Optional[RunPerf]] = [None] * n
-
-    pending: List[int] = []
-    hits = 0
-    for i, workload in enumerate(workloads):
-        if result_cache is not None:
-            t0 = time.perf_counter()
-            found = result_cache.get(workload, max_cycles)
-            if found is not None:
-                results[i] = found
-                perfs[i] = RunPerf(
-                    name=workload.name,
-                    wall_seconds=time.perf_counter() - t0,
-                    cycles=found.cycles,
-                    instructions=found.instructions,
-                    cached=True,
-                )
-                hits += 1
-                continue
-        pending.append(i)
-
-    def record(i: int, result: WorkloadResult, wall: float) -> None:
-        results[i] = result
-        perfs[i] = RunPerf(
-            name=result.workload.name,
-            wall_seconds=wall,
-            cycles=result.cycles,
-            instructions=result.instructions,
-            cached=False,
-        )
-        if result_cache is not None:
-            result_cache.put(result, max_cycles)
-
-    # Group cache misses by identical program text: only byte-identical
-    # programs can share a lockstep vector run.
-    groups: "dict[str, List[int]]" = {}
-    for i in pending:
-        groups.setdefault(workloads[i].source, []).append(i)
-
-    vector_groups = 0
-    vector_lanes = 0
-    singles: List[int] = []
-    for source, members in groups.items():
-        if len(members) < 2:
-            singles.extend(members)
-            continue
-        t0 = time.perf_counter()
-        vres = run_lanes(
-            source,
-            lane_words=[tuple(workloads[i].data_words) for i in members],
-            max_cycles=max_cycles,
-        )
-        group_wall = time.perf_counter() - t0
-        if vres.vectorized:
-            vector_groups += 1
-            vector_lanes += len(members)
-        per_lane_wall = group_wall / len(members)
-        for i, lane in zip(members, vres.lanes):
-            record(i, _lane_to_result(workloads[i], lane), per_lane_wall)
-
-    if singles:
-        payloads = [(workloads[i], max_cycles) for i in singles]
-        for i, (result, wall) in zip(
-            singles, map_parallel(_execute_one, payloads, jobs=jobs)
-        ):
-            record(i, result, wall)
-
-    return SuiteRunReport(
-        results=[r for r in results if r is not None],
-        perfs=[p for p in perfs if p is not None],
-        wall_seconds=time.perf_counter() - start,
-        jobs=resolve_jobs(jobs, len(singles)) if singles else 1,
-        cache_hits=hits,
-        cache_misses=len(pending),
-        vector_groups=vector_groups,
-        vector_lanes=vector_lanes,
     )

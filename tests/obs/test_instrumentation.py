@@ -6,6 +6,8 @@ metrics on the side.  Every section here runs the same operation with
 obs off and on and compares the outputs bit-for-bit.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,13 @@ from repro.core.uncertainty import (
 from repro.runtime.cache import ResultCache, SweepCache
 from repro.runtime.parallel import map_parallel
 from repro.workloads.suite import get_workload, run_workload
+
+
+def _span_and_count(n):
+    """A fan-out worker that records a span and a counter increment."""
+    with obs.span("worker.step", n=n):
+        obs.get_metrics().counter("worker.items").inc(n)
+    return n * n
 
 
 @pytest.fixture
@@ -164,6 +173,31 @@ class TestParallelTracing:
         assert [r.name for r in spans if r.name == "chunk"] == [
             "chunk", "chunk",
         ]
+
+    def test_worker_spans_and_counters_reach_parent(self, clean_obs):
+        payloads = [1, 2, 3]
+        with obs.enabled_scope():
+            out = map_parallel(_span_and_count, payloads, jobs=2, label="chunk")
+        assert out == [1, 4, 9]
+        spans = obs.get_tracer().spans
+        chunks = {r.args["index"]: r for r in spans if r.name == "chunk"}
+        steps = [r for r in spans if r.name == "worker.step"]
+        assert sorted(r.args["n"] for r in steps) == payloads
+        for step in steps:
+            chunk = chunks[step.args["n"] - 1]
+            assert step.pid == chunk.pid != os.getpid()
+            assert step.depth == chunk.depth + 1
+            assert chunk.start_ns <= step.start_ns
+            assert step.end_ns <= chunk.end_ns
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert counters["worker.items"] == sum(payloads)
+
+    def test_worker_counters_reach_parent_with_tracing_off(self, clean_obs):
+        with obs.enabled_scope(tracing=False):
+            map_parallel(_span_and_count, [1, 2, 3], jobs=2)
+        assert obs.get_tracer().spans == []
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert counters["worker.items"] == 6
 
 
 class TestMonteCarloTracing:

@@ -234,10 +234,9 @@ class TestVectorWorkers:
         assert "_JOURNAL" in findings[0].message
 
     def test_per_call_engine_construction_ok(self):
-        # The share-nothing pattern run_workloads_vector uses for its
-        # singleton groups: the worker builds every bit of simulator
-        # state inside the call, nothing crosses the boundary but the
-        # payload.
+        # The share-nothing pattern: the worker builds every bit of
+        # simulator state inside the call, nothing crosses the boundary
+        # but the payload.
         findings, _ = lint(
             """
             from repro.runtime.parallel import map_parallel

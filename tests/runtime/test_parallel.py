@@ -3,11 +3,7 @@
 import pytest
 
 from repro.runtime.cache import ResultCache
-from repro.runtime.parallel import (
-    resolve_jobs,
-    run_workloads,
-    run_workloads_vector,
-)
+from repro.runtime.parallel import resolve_jobs, run_workloads
 from repro.workloads import fib, matmul_int, sort
 
 
@@ -64,13 +60,7 @@ class TestPool:
         """Pool execution (or its serial fallback) is order-identical."""
         serial = run_workloads(tiny_suite, jobs=1, cache=False)
         pooled = run_workloads(tiny_suite, jobs=2, cache=False)
-        assert [r.workload.name for r in pooled.results] == [
-            r.workload.name for r in serial.results
-        ]
-        for a, b in zip(pooled.results, serial.results):
-            assert a.checksum == b.checksum
-            assert a.cycles == b.cycles
-            assert a.instructions == b.instructions
+        assert pooled.results == serial.results
 
 
 class TestCacheIntegration:
@@ -103,9 +93,12 @@ class TestCacheIntegration:
 
 
 class TestVectorRunner:
+    """The N-lane vector engine against the scalar suite runner, on a
+    suite that mixes same-source seed variants with other programs."""
+
     @pytest.fixture
     def mixed_suite(self):
-        """8 seed variants (one vector group) plus two singleton programs."""
+        """8 seed variants (one lockstep group) plus two singleton programs."""
         variants = [
             matmul_int.seed_variant(12345 + 7919 * i, n=8, repeats=2, tune=5)
             for i in range(8)
@@ -116,30 +109,37 @@ class TestVectorRunner:
         ]
 
     def test_bit_identical_to_scalar_runner(self, mixed_suite):
+        from repro.cpu.vector_engine import run_lanes
+
         scalar = run_workloads(mixed_suite, jobs=1, cache=False)
-        vector = run_workloads_vector(mixed_suite, jobs=1, cache=False)
-        assert vector.vector_groups == 1
-        assert vector.vector_lanes == 8
-        assert [r.workload.name for r in vector.results] == [
+        variants = mixed_suite[:8]
+        assert len({w.source for w in variants}) == 1
+        vector = run_lanes(
+            variants[0].source,
+            lane_words=[tuple(w.data_words) for w in variants],
+        )
+        assert vector.vectorized
+        assert len(vector.lanes) == 8
+        assert [r.workload.name for r in scalar.results] == [
             w.name for w in mixed_suite
         ]
-        for a, b in zip(vector.results, scalar.results):
+        for a, b in zip(vector.lanes, scalar.results):
             assert a.checksum == b.checksum
             assert a.cycles == b.cycles
             assert a.instructions == b.instructions
             assert a.program_reads == b.program_reads
             assert a.data_reads == b.data_reads
             assert a.data_writes == b.data_writes
-            assert abs(a.activity_factor - b.activity_factor) < 1e-15
+            assert abs(a.activity_factor() - b.activity_factor) < 1e-15
 
     def test_cache_warm_rerun_all_hits(self, mixed_suite, tmp_path):
         cache = ResultCache(tmp_path)
-        cold = run_workloads_vector(mixed_suite, cache=cache)
+        cold = run_workloads(mixed_suite, cache=cache)
         assert cold.cache_hits == 0
-        assert cold.vector_lanes == 8
-        warm = run_workloads_vector(mixed_suite, cache=cache)
+        assert cold.cache_misses == len(mixed_suite)
+        warm = run_workloads(mixed_suite, cache=cache)
         assert warm.cache_hits == len(mixed_suite)
-        assert warm.vector_groups == 0
+        assert warm.cache_misses == 0
         for a, b in zip(cold.results, warm.results):
             assert a.checksum == b.checksum
             assert a.cycles == b.cycles
@@ -151,18 +151,12 @@ class TestVectorRunner:
             for s in (1, 2)
         ]
         cache = ResultCache(tmp_path)
-        run_workloads_vector(variants, cache=cache)
-        report = run_workloads_vector(list(reversed(variants)), cache=cache)
+        run_workloads(variants, cache=cache)
+        report = run_workloads(list(reversed(variants)), cache=cache)
         assert report.cache_hits == 2
         for workload, result in zip(reversed(variants), report.results):
             assert result.workload.name == workload.name
             assert result.checksum == workload.expected_checksum
-
-    def test_all_singletons_degenerates_to_scalar_path(self, tiny_suite):
-        report = run_workloads_vector(tiny_suite, jobs=1, cache=False)
-        assert report.vector_groups == 0
-        assert report.vector_lanes == 0
-        assert all(r.correct for r in report.results)
 
 
 class TestSuiteStudyIntegration:
@@ -175,19 +169,4 @@ class TestSuiteStudyIntegration:
         assert cache.hits >= 8
         assert len(cold) == len(warm) == 8
         for a, b in zip(cold, warm):
-            assert a.__dict__ == b.__dict__
-
-    def test_suite_study_vector_rows_identical(self, tmp_path):
-        from repro.analysis.suite_study import (
-            run_suite_study,
-            seed_variant_configs,
-        )
-
-        configs = seed_variant_configs(4)
-        scalar = run_suite_study(configs=configs, jobs=1, cache=False)
-        vector = run_suite_study(
-            configs=configs, jobs=1, cache=False, vector=True
-        )
-        assert len(scalar) == len(vector) == 4
-        for a, b in zip(scalar, vector):
             assert a.__dict__ == b.__dict__

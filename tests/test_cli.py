@@ -1,6 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +43,15 @@ class TestParser:
     def test_serve_batch_window_defaults_to_zero(self):
         args = build_parser().parse_args(["serve"])
         assert args.batch_window_ms == 0.0
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["workloads", "lint", "artifacts"])
+    def test_jobs_must_be_positive(self, command, jobs, capsys):
+        # A usage error (exit 2) before any work starts, not a traceback.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_no_global_trace_flag(self, capsys):
         # Tracing is `repro trace <cmd>` or REPRO_TRACE=1, not a flag.
@@ -80,6 +94,79 @@ class TestTracing:
         assert main(self._artifacts_argv(tmp_path)) == 0
         assert "artifact.table2" in _span_names(out)
         assert f"to {out}" in capsys.readouterr().err
+
+
+class TestWorkerObservability:
+    """`repro trace` / `repro metrics` see the ISS suite at any --jobs."""
+
+    @staticmethod
+    def _run(tmp_path, *argvs):
+        """Run each ``repro`` argv in its own fresh process, concurrently;
+        return their stdouts."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(src),
+            REPRO_CACHE_DIR=str(tmp_path / "cache"),
+        )
+        env.pop(obs.ENV_TRACE, None)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro", *argv],
+                env=env,
+                cwd=tmp_path,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for argv in argvs
+        ]
+        outs = []
+        for proc in procs:
+            stdout, stderr = proc.communicate()
+            assert proc.returncode == 0, stderr
+            outs.append(stdout)
+        return outs
+
+    def test_trace_sees_worker_spans(self, tmp_path):
+        traces = [tmp_path / f"trace-{jobs}.json" for jobs in ("1", "2")]
+        self._run(
+            tmp_path,
+            *(
+                ["trace", "--output", str(out), "workloads", "--no-cache",
+                 "--jobs", jobs]
+                for out, jobs in zip(traces, ("1", "2"))
+            ),
+        )
+        serial, pooled = (
+            Counter(
+                e["name"]
+                for e in json.loads(out.read_text())["traceEvents"]
+                if e["ph"] == "X"
+            )
+            for out in traces
+        )
+        assert pooled["iss.run"] == 8
+        assert pooled == serial
+
+    def test_metrics_sees_worker_counters(self, tmp_path):
+        outs = self._run(
+            tmp_path,
+            *(
+                ["metrics", "workloads", "--no-cache", "--jobs", jobs]
+                for jobs in ("1", "2")
+            ),
+        )
+        serial, pooled = (
+            {
+                row[0]: row[1]
+                for row in map(str.split, stdout.splitlines())
+                if len(row) == 2 and row[0].startswith("iss.")
+            }
+            for stdout in outs
+        )
+        assert serial["iss.runs"] == "8"
+        assert pooled == serial
 
 
 class TestCommands:

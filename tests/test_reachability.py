@@ -35,6 +35,10 @@ ALLOWED_ORPHANS = {
         "cell-variation Monte Carlo; tests/edram/test_variation.py asserts "
         "its EXPERIMENTS.md claim until a paper-flow consumer lands"
     ),
+    "repro.cpu.vector_engine": (
+        "N-lane lockstep ISS; the bench `iss` workload's op2 phase imports "
+        "it through importlib, and ROADMAP item 6 decides its fate"
+    ),
 }
 
 
